@@ -6,6 +6,11 @@ force the fallback (used by the benchmark and the backend-equality tests).
 Both backends return identical values on every input; the compiled int64
 Bareiss bails out (returns -1) when intermediates could overflow and the
 wrapper reruns the computation with big integers.
+
+Two routes, kept apart on purpose: `int_kernel_dim` carries the modular
+certificate (one elimination mod ``WITNESS_PRIME``, exact Bareiss only when
+that is rank-deficient), while `int_rank` is Bareiss alone, so a witness
+found through the modular route is re-verified by an independent one.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ if os.environ.get("UALIE_PURE") == "1":
 
 BACKEND = "compiled" if _accel is not None else "pure"
 
-# Fixed witness prime for the full-column-rank shortcut: full rank mod p
-# implies full rank over Q for integer matrices (never a false accept).
+# Fixed witness prime for the modular certificates: rows independent mod p
+# are independent over Q for integer matrices (never a false accept).
 WITNESS_PRIME = 2**31 - 1
 
 _I64_SAFE = 1 << 30
@@ -39,17 +44,14 @@ def rank_mod_p(entries, rows: int, cols: int, p: int) -> int:
 
 
 def int_rank(entries, rows: int, cols: int) -> int:
-    """Exact rank over Z/Q of an integer matrix.
+    """Exact rank over Z/Q of an integer matrix by fraction-free Bareiss elimination.
 
-    Modular rank never exceeds the rational rank, so hitting min(rows, cols)
-    mod the witness prime certifies the answer without exact elimination;
-    only rank-deficient (or unlucky) matrices pay for big-integer Bareiss.
+    There is deliberately no modular shortcut here: witness re-verification
+    relies on this routine sharing nothing with the modular certificate in
+    `int_kernel_dim` that found the witness.
     """
-    bound = min(rows, cols)
-    if bound == 0:
+    if min(rows, cols) == 0:
         return 0
-    if rank_mod_p(entries, rows, cols, WITNESS_PRIME) == bound:
-        return bound
     if _accel is not None:
         r = _accel.int_rank_i64(entries, rows, cols)
         if r >= 0:
@@ -60,13 +62,15 @@ def int_rank(entries, rows: int, cols: int) -> int:
 def int_kernel_dim(entries, rows: int, cols: int) -> int:
     """Exact nullity over Q of an integer matrix.
 
-    A single modular elimination certifies the common full-column-rank case;
-    otherwise the exact integer rank decides.
+    This is where the modular certificate lives: modular rank never exceeds
+    the rational rank, so full column rank mod the witness prime proves a
+    zero kernel after one elimination.  Otherwise Bareiss (`int_rank`)
+    decides exactly.
     """
     if cols == 0:
         return 0
-    if rows and rank_mod_p(entries, rows, cols, WITNESS_PRIME) == cols:
-        return 0
     if not rows:
         return cols
+    if rank_mod_p(entries, rows, cols, WITNESS_PRIME) == cols:
+        return 0
     return cols - int_rank(entries, rows, cols)

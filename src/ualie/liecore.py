@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import Matrix, Subspace, kernel, kernel_dim_fast
+from .linalg import Matrix, Subspace, kernel, kernel_dim_fast, span_and_kernel
 from .scalars import field_from_json
 
 
@@ -67,6 +67,8 @@ class StructureConstantAlgebra:
                 clean[(i, j)] = crow
         self.brackets = clean
         self._basis_ads = None
+        self._center = None
+        self._derived = None
 
     # -- elements ---------------------------------------------------------
 
@@ -156,13 +158,21 @@ class StructureConstantAlgebra:
         return kernel(self.ad_matrix(x))
 
     def center(self) -> Subspace:
-        ads = self.basis_ads()
-        if self.dim == 0:
-            return Subspace.zero(self.field, 0)
-        stacked = ads[0]
-        for m in ads[1:]:
-            stacked = stacked.stack(m)
-        return kernel(stacked)
+        """Kernel of the stacked basis adjoints, computed once per algebra.
+
+        Row (i, k) of the stack is row k of ad(e_i): the coefficient of e_k
+        in [e_i, e_j] sits in column j.  The rows come straight from the
+        sparse structure constants; `span_and_kernel` certifies the result.
+        """
+        if self._center is None:
+            F = self.field
+            rows = {}
+            for (i, j), row in self.brackets.items():
+                for k, c in row.items():
+                    rows.setdefault((i, k), {})[j] = c
+                    rows.setdefault((j, k), {})[i] = F.neg(c)
+            self._center = span_and_kernel(F, self.dim, list(rows.values()))[1]
+        return self._center
 
     def mutual_centralizer_dim(self, a, b) -> int:
         """dim (C(a) intersect C(b)) as the nullity of the stacked adjoints."""
@@ -172,14 +182,11 @@ class StructureConstantAlgebra:
     # -- derived structure --------------------------------------------------
 
     def derived_subalgebra(self) -> Subspace:
-        F = self.field
-        vecs = []
-        for row in self.brackets.values():
-            v = [F.zero] * self.dim
-            for k, c in row.items():
-                v[k] = c
-            vecs.append(v)
-        return Subspace.from_spanning(F, self.dim, vecs)
+        """Span of the brackets [e_i, e_j], computed once per algebra."""
+        if self._derived is None:
+            rows = list(self.brackets.values())
+            self._derived = span_and_kernel(self.field, self.dim, rows)[0]
+        return self._derived
 
     def subspace_bracket(self, u: Subspace, v: Subspace) -> Subspace:
         vecs = []
@@ -327,11 +334,3 @@ class StructureConstantAlgebra:
     def __repr__(self):
         return f"<{self.name}: dim {self.dim} over {self.field!r}>"
 
-
-def validate_structure(g: StructureConstantAlgebra) -> ValidationReport:
-    return g.validate()
-
-
-def mutual_centralizer_dim_generic(g: StructureConstantAlgebra, a, b) -> int:
-    """Independent route: intersect the two centralizers as subspaces."""
-    return g.centralizer(a).intersect(g.centralizer(b)).dim

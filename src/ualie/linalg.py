@@ -6,6 +6,15 @@ deterministic pivoting: columns are scanned left to right and the first row
 with a nonzero entry (top to bottom) becomes the pivot, so equal subspaces
 always canonicalize to equal bases.  Intended for the small dimensions this
 package works at (n <= ~30); no pivoting heuristics, no floats.
+
+Over Q, tall matrices (the stacked adjoints behind the center, the brackets
+behind the derived subalgebra) take the certified route of
+`span_and_kernel`: integer rows, a selection of rows independent mod a
+fixed prime, a Fraction RREF of only those, and an exact integer check
+that every row annihilates the kernel found, with one full RREF as the
+fallback when the check fails.  Nullities go through `kernel_dim_fast`,
+whose integer kernels in `_kernels` carry a modular certificate of their
+own.
 """
 
 from __future__ import annotations
@@ -161,11 +170,15 @@ def rank(m: Matrix) -> int:
 
 def kernel(m: Matrix) -> "Subspace":
     """Right kernel {x : m x = 0} as a canonical Subspace of F^cols."""
-    F = m.field
-    n = m.cols
     if m.rows == 0:
-        return Subspace.full(F, n)
+        return Subspace.full(m.field, m.cols)
     r, pivots = rref(m)
+    return _kernel_of_rref(r, pivots)
+
+
+def _kernel_of_rref(r: Matrix, pivots) -> "Subspace":
+    F = r.field
+    n = r.cols
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
@@ -176,6 +189,12 @@ def kernel(m: Matrix) -> "Subspace":
             v[pcol] = F.neg(r.at(prow_idx, fcol))
         basis.append(v)
     return Subspace.from_spanning(F, n, basis)
+
+
+def _span_of_rref(r: Matrix, pivots) -> "Subspace":
+    rows = [r.row(i) for i in range(len(pivots))]
+    basis = Matrix.from_rows(r.field, rows) if rows else Matrix(r.field, 0, r.cols, [])
+    return Subspace(r.field, r.cols, basis)
 
 
 def solve(m: Matrix, b):
@@ -216,10 +235,7 @@ class Subspace:
                 raise AmbientMismatch("spanning vector has wrong length")
         if not vectors:
             return cls(field, ambient_dim, Matrix(field, 0, ambient_dim, []))
-        m = Matrix.from_rows(field, vectors)
-        r, pivots = rref(m)
-        rows = [r.row(i) for i in range(len(pivots))]
-        return cls(field, ambient_dim, Matrix.from_rows(field, rows) if rows else Matrix(field, 0, ambient_dim, []))
+        return _span_of_rref(*rref(Matrix.from_rows(field, vectors)))
 
     @classmethod
     def full(cls, field, n):
@@ -287,8 +303,106 @@ def integerized_entries(m: Matrix):
     for r in range(m.rows):
         row = m.row(r)
         mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.extend(int(x * mult) for x in row)
+        out.extend(x.numerator * (mult // x.denominator) for x in row)
     return out
+
+
+def _integer_row(row: dict) -> dict:
+    """A sparse rational row scaled by the lcm of its denominators."""
+    mult = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
+
+
+def _sub_scaled_mod(dst: dict, f: int, src: dict, p: int):
+    """dst -= f * src mod p on sparse rows, dropping entries that vanish."""
+    for j, y in src.items():
+        w = (dst.get(j, 0) - f * y) % p
+        if w:
+            dst[j] = w
+        else:
+            dst.pop(j, None)
+
+
+def _independent_mod_p(int_rows, n: int, p: int) -> list:
+    """Indices of a greedy maximal set of rows independent mod p.
+
+    Keeps the chosen rows fully reduced mod p (pivot entry 1, zero in every
+    other pivot column), so a new row is reduced in one pass over its own
+    pivot columns.  Stops early at n rows: full column rank.
+    """
+    basis = {}  # pivot column -> reduced sparse row
+    chosen = []
+    for idx, row in enumerate(int_rows):
+        v = {c: x % p for c, x in row.items() if x % p}
+        for pc in [c for c in v if c in basis]:
+            _sub_scaled_mod(v, v[pc], basis[pc], p)
+        if not v:
+            continue
+        pc = min(v)
+        inv = pow(v[pc], p - 2, p)
+        v = {j: y * inv % p for j, y in v.items()}
+        for b in basis.values():
+            if pc in b:
+                _sub_scaled_mod(b, b[pc], v, p)
+        basis[pc] = v
+        chosen.append(idx)
+        if len(chosen) == n:
+            break
+    return chosen
+
+
+def _reduce_span_and_kernel(field, n: int, rows: list):
+    """Span and kernel of sparse rows from one canonical RREF."""
+    m = Matrix(field, len(rows), n, [row.get(c, field.zero) for row in rows for c in range(n)])
+    r, pivots = rref(m)
+    return _span_of_rref(r, pivots), _kernel_of_rref(r, pivots)
+
+
+def _certified_span_and_kernel(field, n: int, rows: list):
+    """The certified route over Q, or None when its exact check fails.
+
+    Rows independent mod the witness prime are independent over Q, so their
+    span sits inside the full row space; if every row annihilates their
+    kernel, the two spans (and kernels) are equal.
+    """
+    from ._kernels import WITNESS_PRIME
+
+    distinct = {}
+    for row in rows:
+        ints = _integer_row(row)
+        if ints:
+            distinct.setdefault(tuple(sorted(ints.items())), (row, ints))
+    candidates = list(distinct.values())
+    chosen = _independent_mod_p([ints for _, ints in candidates], n, WITNESS_PRIME)
+    if len(chosen) == n:  # full column rank mod p, hence over Q
+        return Subspace.full(field, n), Subspace.zero(field, n)
+    span, ker = _reduce_span_and_kernel(field, n, [candidates[k][0] for k in chosen])
+    ker_ints = integerized_entries(ker.basis)
+    for v in range(ker.dim):
+        kv = ker_ints[v * n : (v + 1) * n]
+        for _, ints in candidates:
+            if sum(x * kv[c] for c, x in ints.items()):
+                return None
+    return span, ker
+
+
+def span_and_kernel(field, n: int, rows: list):
+    """Row space and right kernel of the matrix with sparse rows ``rows``.
+
+    Each row is a ``{column: scalar}`` dict over ``field`` with n columns;
+    both results are canonical Subspaces of F^n.  Over Q the certified route
+    runs first: integerize the rows, drop zero and duplicate rows, select
+    rows independent mod the witness prime (at most n), row-reduce only
+    those, and check by integer dot products that every row annihilates
+    the kernel found.  When that check fails, and over finite fields, one
+    RREF of all rows decides.  Canonical bases are unique, so both routes
+    return identical subspaces.
+    """
+    if field.kind == "Q":
+        res = _certified_span_and_kernel(field, n, rows)
+        if res is not None:
+            return res
+    return _reduce_span_and_kernel(field, n, rows)
 
 
 def kernel_dim_fast(m: Matrix) -> int:

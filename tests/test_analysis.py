@@ -45,6 +45,19 @@ def test_c_condition_witness_survives_independent_check():
         assert cap.dim == 0
 
 
+def test_verify_witness_exactly_rejects_a_shared_centralizer():
+    g = build_catalog("sl", QQ, n=2)
+    h = g.basis_vector(g.basis_names.index("h"))
+    assert not an._verify_witness_exactly(g, h, h)  # C(H) = <H> is shared
+
+
+def test_verify_witness_exactly_accepts_catalog_witnesses():
+    for name, kw in (("sl", {"n": 2}), ("s2", {}), ("sl", {"n": 4})):
+        g = build_catalog(name, QQ, **kw)
+        a, b = an.c_condition(g).witness
+        assert an._verify_witness_exactly(g, a, b)
+
+
 def test_c_condition_nontrivial_center_is_certified_failure():
     g = build_catalog("heisenberg", QQ, k=1)
     res = an.c_condition(g)

@@ -72,6 +72,13 @@ def test_rank_mod_p_drops_on_bad_primes():
     assert _kernels.rank_mod_p([2], 1, 1, 3) == 1
 
 
+def test_int_rank_is_exact_where_the_witness_prime_vanishes():
+    p = _kernels.WITNESS_PRIME
+    assert _kernels.rank_mod_p([p, 0, 0, p], 2, 2, p) == 0
+    assert _kernels.int_rank([p, 0, 0, p], 2, 2) == 2
+    assert _kernels.int_kernel_dim([p, 0, 0, p], 2, 2) == 0
+
+
 def test_int_kernel_dim_complements_rank():
     rng = random.Random(13)
     for _ in range(40):

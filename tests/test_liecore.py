@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
-from ualie.constructions import build_catalog
+from ualie import linalg
+from ualie._kernels import WITNESS_PRIME
+from ualie.constructions import CATALOG_EXAMPLES, build_catalog, direct_sum
 from ualie.liecore import StructureConstantAlgebra
-from ualie.linalg import vec_add, vec_scale, vector_is_zero, vectors_equal
+from ualie.linalg import Subspace, kernel, vec_add, vec_scale, vector_is_zero, vectors_equal
 from ualie.scalars import QQ, PrimeField
 
 
@@ -154,3 +156,50 @@ def test_json_round_trip_preserves_structure():
             x = rand_vec(rng, F, g.dim)
             y = rand_vec(rng, F, g.dim)
             assert vectors_equal(F, g.bracket(x, y), g2.bracket(x, y))
+
+
+def _plain_center_and_derived(g):
+    """Today's reference: one RREF of all stacked adjoints / all brackets."""
+    ads = g.basis_ads()
+    stacked = ads[0]
+    for m in ads[1:]:
+        stacked = stacked.stack(m)
+    vecs = [[row.get(k, g.field.zero) for k in range(g.dim)] for row in g.brackets.values()]
+    return kernel(stacked), Subspace.from_spanning(g.field, g.dim, vecs)
+
+
+def _certificate_outcomes(monkeypatch):
+    outcomes = []
+    real = linalg._certified_span_and_kernel
+
+    def spy(*args):
+        res = real(*args)
+        outcomes.append(res is not None)
+        return res
+
+    monkeypatch.setattr(linalg, "_certified_span_and_kernel", spy)
+    return outcomes
+
+
+def test_certificate_falls_back_when_the_witness_prime_divides_a_constant(monkeypatch):
+    # [e1, e2] = p e1 vanishes mod p, so the modular row selection misses
+    # every row and the exact check must reject its kernel
+    p = Fraction(WITNESS_PRIME)
+    scaled = StructureConstantAlgebra("p-scaled s2", QQ, 2, None, {(0, 1): {0: p}})
+    g = direct_sum(scaled, build_catalog("heisenberg", QQ, k=1))
+    outcomes = _certificate_outcomes(monkeypatch)
+    center, derived = g.center(), g.derived_subalgebra()
+    assert outcomes == [False, False]
+    assert (center, derived) == _plain_center_and_derived(g)
+    assert (center.dim, derived.dim) == (1, 2)
+
+
+def test_certified_center_and_derived_match_plain_rref_on_catalog(monkeypatch):
+    outcomes = _certificate_outcomes(monkeypatch)
+    for name, params in CATALOG_EXAMPLES.items():
+        for scale in (0, 1, 2):
+            kw = {k: v + scale for k, v in params.items()}
+            g = build_catalog(name, QQ, **kw)
+            assert (g.center(), g.derived_subalgebra()) == _plain_center_and_derived(g), g.name
+            assert g.center() is g.center() and g.derived_subalgebra() is g.derived_subalgebra()
+    assert outcomes and all(outcomes)
