@@ -3,8 +3,8 @@
 An algebra stores only the brackets [e_i, e_j] for i < j as sparse
 coefficient rows; antisymmetry supplies the rest, so alternation holds by
 construction and validation reduces to the Jacobi identity, which is checked
-exhaustively over all basis triples.  Elements are plain coordinate lists of
-raw scalars in the algebra's field.
+exhaustively over all basis triples from a table of basis brackets.
+Elements are plain coordinate lists of raw scalars in the algebra's field.
 """
 
 from __future__ import annotations
@@ -90,18 +90,6 @@ class StructureConstantAlgebra:
 
     # -- bracket ----------------------------------------------------------
 
-    def _pair_row(self, i, j):
-        """Sparse row of [e_i, e_j] with antisymmetry applied; None if zero."""
-        if i == j:
-            return None
-        if i < j:
-            return self.brackets.get((i, j))
-        row = self.brackets.get((j, i))
-        if row is None:
-            return None
-        F = self.field
-        return {k: F.neg(c) for k, c in row.items()}
-
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element has wrong length")
@@ -112,22 +100,6 @@ class StructureConstantAlgebra:
             if not F.is_zero(c):
                 for k, s in row.items():
                     out[k] = F.add(out[k], F.mul(c, s))
-        return out
-
-    def _bracket_basis_sparse(self, i, d):
-        """[e_i, v] for sparse v given as {index: coeff}, returned sparse."""
-        F = self.field
-        out = {}
-        for l, cl in d.items():
-            row = self._pair_row(i, l)
-            if row is None:
-                continue
-            for k, s in row.items():
-                v = F.add(out.get(k, F.zero), F.mul(cl, s))
-                if F.is_zero(v):
-                    out.pop(k, None)
-                else:
-                    out[k] = v
         return out
 
     # -- adjoint operators and centralizers --------------------------------
@@ -223,34 +195,41 @@ class StructureConstantAlgebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Exhaustive Jacobi check over all basis triples i < j < k."""
+        """Exhaustive Jacobi check over all basis triples i < j < k.
+
+        A table of [e_a, e_b] for both orders, antisymmetry applied once, is
+        built per call; each triple sums [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]]
+        + [e_k, [e_i, e_j]] straight from it into one sparse defect.  For
+        each (j, k) the table's support names the i for which some term can
+        be nonzero; every other triple holds trivially and is skipped.
+        Failures are listed with (j, k) outer and i inner, i ascending.
+        """
         F = self.field
-        failures = []
+        add, mul, zero = F.add, F.mul, F.zero
         n = self.dim
+        table = [{} for _ in range(n)]  # table[a][b] = [e_a, e_b], sparse
+        for (a, b), row in self.brackets.items():
+            table[a][b] = row
+            table[b][a] = {k: F.neg(c) for k, c in row.items()}
+        empty = {}
+        failures = []
         for j in range(n):
+            tj = table[j]
             for k in range(j + 1, n):
-                row_jk = self.brackets.get((j, k))
-                for i in range(n):
-                    if i == j or i == k:
-                        continue
-                    # order the triple once: only i < j < k
-                    if not (i < j):
-                        continue
+                tk = table[k]
+                row_jk = tj.get(k, empty)
+                # only i with [e_k, e_i], [e_i, e_j] or some [e_i, e_l], l in
+                # [e_j, e_k], nonzero can fail
+                support = set(tk).union(tj, *(table[l] for l in row_jk))
+                for i in sorted(x for x in support if x < j):
+                    ti = table[i]
                     acc = {}
-                    for idx, d in (
-                        (i, row_jk or {}),
-                        (j, self._pair_row(k, i) or {}),
-                        (k, self._pair_row(i, j) or {}),
-                    ):
-                        part = self._bracket_basis_sparse(idx, d)
-                        for kk, c in part.items():
-                            v = F.add(acc.get(kk, F.zero), c)
-                            if F.is_zero(v):
-                                acc.pop(kk, None)
-                            else:
-                                acc[kk] = v
-                    if acc:
-                        defect = [F.zero] * n
+                    for tx, d in ((ti, row_jk), (tj, tk.get(i, empty)), (tk, ti.get(j, empty))):
+                        for l, cl in d.items():
+                            for kk, s in tx.get(l, empty).items():
+                                acc[kk] = add(acc.get(kk, zero), mul(cl, s))
+                    if any(not F.is_zero(c) for c in acc.values()):
+                        defect = [zero] * n
                         for kk, c in acc.items():
                             defect[kk] = c
                         failures.append((i, j, k, defect))

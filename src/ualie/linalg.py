@@ -298,7 +298,10 @@ def integerized_entries(m: Matrix):
 
     Each row is scaled by the lcm of its denominators; row scaling keeps the
     row space and the kernel, so ranks and nullities agree with the original.
+    A matrix of ``int`` scalars is already integral and is copied as it is.
     """
+    if set(map(type, m.entries)) <= {int}:
+        return list(m.entries)
     out = []
     for r in range(m.rows):
         row = m.row(r)
@@ -311,44 +314,6 @@ def _integer_row(row: dict) -> dict:
     """A sparse rational row scaled by the lcm of its denominators."""
     mult = lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
-
-
-def _sub_scaled_mod(dst: dict, f: int, src: dict, p: int):
-    """dst -= f * src mod p on sparse rows, dropping entries that vanish."""
-    for j, y in src.items():
-        w = (dst.get(j, 0) - f * y) % p
-        if w:
-            dst[j] = w
-        else:
-            dst.pop(j, None)
-
-
-def _independent_mod_p(int_rows, n: int, p: int) -> list:
-    """Indices of a greedy maximal set of rows independent mod p.
-
-    Keeps the chosen rows fully reduced mod p (pivot entry 1, zero in every
-    other pivot column), so a new row is reduced in one pass over its own
-    pivot columns.  Stops early at n rows: full column rank.
-    """
-    basis = {}  # pivot column -> reduced sparse row
-    chosen = []
-    for idx, row in enumerate(int_rows):
-        v = {c: x % p for c, x in row.items() if x % p}
-        for pc in [c for c in v if c in basis]:
-            _sub_scaled_mod(v, v[pc], basis[pc], p)
-        if not v:
-            continue
-        pc = min(v)
-        inv = pow(v[pc], p - 2, p)
-        v = {j: y * inv % p for j, y in v.items()}
-        for b in basis.values():
-            if pc in b:
-                _sub_scaled_mod(b, b[pc], v, p)
-        basis[pc] = v
-        chosen.append(idx)
-        if len(chosen) == n:
-            break
-    return chosen
 
 
 def _reduce_span_and_kernel(field, n: int, rows: list):
@@ -365,7 +330,7 @@ def _certified_span_and_kernel(field, n: int, rows: list):
     span sits inside the full row space; if every row annihilates their
     kernel, the two spans (and kernels) are equal.
     """
-    from ._kernels import WITNESS_PRIME
+    from ._kernels import WITNESS_PRIME, rref_mod_p
 
     distinct = {}
     for row in rows:
@@ -373,7 +338,7 @@ def _certified_span_and_kernel(field, n: int, rows: list):
         if ints:
             distinct.setdefault(tuple(sorted(ints.items())), (row, ints))
     candidates = list(distinct.values())
-    chosen = _independent_mod_p([ints for _, ints in candidates], n, WITNESS_PRIME)
+    _, chosen = rref_mod_p([ints for _, ints in candidates], n, WITNESS_PRIME)
     if len(chosen) == n:  # full column rank mod p, hence over Q
         return Subspace.full(field, n), Subspace.zero(field, n)
     span, ker = _reduce_span_and_kernel(field, n, [candidates[k][0] for k in chosen])

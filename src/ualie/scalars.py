@@ -2,7 +2,7 @@
 
 Raw representations (no wrapper object per scalar):
 
-* rationals      -> ``fractions.Fraction`` (always canonical),
+* rationals      -> ``int`` when integral, else ``fractions.Fraction``,
 * F_p            -> ``int`` reduced to [0, p),
 * F_{p^n}, n > 1 -> tuple of n ints in [0, p): coefficients of the residue
   polynomial, constant term first, against a fixed monic irreducible modulus.
@@ -47,24 +47,35 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _q(x):
+    """A rational as an ``int`` when it is integral; other Fractions unchanged."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class Rationals:
-    """The field Q with Fraction scalars."""
+    """The field Q: scalars are ``int`` when integral, else ``Fraction``.
+
+    Integer-valued scalars (every structure constant of the catalog, every
+    basis vector, most adjoint entries) then cost plain ``int`` arithmetic;
+    results that come out integral are turned back into ``int``, so the
+    representation stays canonical and never holds a float.
+    """
 
     kind = "Q"
     char = 0
     order = None  # infinite
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
@@ -72,7 +83,7 @@ class Rationals:
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero("division by zero in Q")
-        return a / b
+        return _q(Fraction(a, b))
 
     def inv(self, a):
         return self.div(self.one, a)
@@ -81,19 +92,19 @@ class Rationals:
         return a == 0
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return int(k)
 
     def format(self, a) -> str:
-        return str(a)  # Fraction prints num/den, den omitted when 1
+        return str(a)  # int or Fraction: num/den, den omitted when 1
 
     def parse(self, s: str):
         try:
-            return Fraction(s.strip())
+            return _q(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError) as e:
             raise BadParams(f"bad rational scalar {s!r}") from e
 
     def random(self, rng, bound: int):
-        return Fraction(rng.int_symmetric(bound))
+        return rng.int_symmetric(bound)
 
     def to_json(self) -> dict:
         return {"kind": "Q"}

@@ -6,19 +6,32 @@ every seaweed of sl_4 over Q.  A case whose build or verdict raises records
 the exception class and message instead of a report.  Any change to a
 verdict, rule, witness, swap or note shows up as a differing line.
 
+``validate.jsonl`` pins the full Jacobi failure list of ``validate()``
+(triples in order, defects formatted) on every catalog algebra over Q, F_2
+and F_3, on broken variants of sl(3), gl(3), t(3) and n(4) with one
+structure constant bumped by 1 or by 1/2, and the stdout and exit code of
+``ualie validate`` on one broken file.
+
 Regenerate (only when a report is meant to change) with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
 
+import contextlib
+import io
 import itertools
 import json
+import os
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from ualie import analysis as an
+from ualie import cli
 from ualie.constructions import SeaweedSpec, build_catalog
 from ualie.errors import UalieError
+from ualie.liecore import StructureConstantAlgebra
 from ualie.scalars import QQ, PrimeField
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,7 +79,73 @@ def seaweed_lines():
         yield _line(f"seaweed {spec.label()} Q", lambda: an.seaweed_verdict(spec, QQ))
 
 
-CORPUS = {"verdict_catalog.jsonl": catalog_lines, "seaweed_n4.jsonl": seaweed_lines}
+def _failures_line(case, g):
+    F = g.field
+    rep = g.validate()
+    failures = [[i, j, k, [F.format(c) for c in d]] for i, j, k, d in rep.jacobi_failures]
+    return json.dumps({"case": case, "ok": rep.ok, "failures": failures}, separators=(",", ":"))
+
+
+BROKEN_BASES = (("sl", 3), ("gl", 3), ("t", 3), ("n", 4))
+BROKEN_ENTRIES = 4  # the first bracket entries, in sorted key order, that get bumped
+BUMPS = (("1", Fraction(1)), ("1/2", Fraction(1, 2)))
+
+
+def _bumped(g, key, delta):
+    """g with the lowest-index structure constant of [e_i, e_j] raised by delta."""
+    brackets = {ij: dict(row) for ij, row in g.brackets.items()}
+    k = min(brackets[key])
+    brackets[key][k] = g.field.add(brackets[key][k], delta)
+    return StructureConstantAlgebra(f"{g.name}~", g.field, g.dim, g.basis_names, brackets)
+
+
+def _cli_validate_stdout(g, *flags):
+    """Exit code and stdout of ``ualie validate broken.json`` run where g is saved."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            g.save("broken.json")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["validate", "broken.json", *flags])
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue()
+
+
+def validate_lines():
+    for (name, params), (fname, field) in itertools.product(ALGEBRAS, FIELDS[:3]):
+        args = ",".join(f"{k}={v}" for k, v in params.items())
+        case = f"{name}({args}) {fname}"
+        try:
+            g = build_catalog(name, field, **params)
+        except UalieError as e:
+            yield json.dumps(
+                {"case": case, "error": type(e).__name__, "message": str(e)},
+                separators=(",", ":"),
+            )
+            continue
+        yield _failures_line(case, g)
+    for name, n in BROKEN_BASES:
+        g = build_catalog(name, QQ, n=n)
+        for key in sorted(g.brackets)[:BROKEN_ENTRIES]:
+            for label, delta in BUMPS:
+                case = f"{name}(n={n}) Q bump{list(key)}+{label}"
+                yield _failures_line(case, _bumped(g, key, delta))
+    sl3 = build_catalog("sl", QQ, n=3)
+    broken = _bumped(sl3, min(sl3.brackets), Fraction(1, 2))
+    for flags in ((), ("--text",)):
+        code, stdout = _cli_validate_stdout(broken, *flags)
+        case = " ".join(("ualie validate broken.json",) + flags)
+        yield json.dumps({"case": case, "exit": code, "stdout": stdout}, separators=(",", ":"))
+
+
+CORPUS = {
+    "verdict_catalog.jsonl": catalog_lines,
+    "seaweed_n4.jsonl": seaweed_lines,
+    "validate.jsonl": validate_lines,
+}
 
 
 def _check(fname):
@@ -83,6 +162,10 @@ def test_golden_catalog_verdicts():
 
 def test_golden_seaweed_n4_verdicts():
     _check("seaweed_n4.jsonl")
+
+
+def test_golden_validate_failures():
+    _check("validate.jsonl")
 
 
 if __name__ == "__main__":

@@ -141,3 +141,50 @@ def test_field_random_is_deterministic():
         seq1 = [F.random(r1, 10) for _ in range(20)]
         seq2 = [F.random(r2, 10) for _ in range(20)]
         assert seq1 == seq2
+
+
+def test_rationals_are_int_when_integral():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-7)) is int
+    q = QQ.div(4, 2)
+    assert q == 2 and type(q) is int
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+    m = QQ.mul(Fraction(1, 2), 2)
+    assert m == 1 and type(m) is int
+    assert type(QQ.add(Fraction(1, 3), Fraction(2, 3))) is int
+    assert type(QQ.sub(Fraction(5, 2), Fraction(1, 2))) is int
+    assert type(QQ.parse("6/3")) is int and QQ.parse("6/3") == 2
+    assert type(QQ.parse("-4")) is int
+    assert QQ.parse("3/6") == Fraction(1, 2)
+
+
+def test_rationals_format_unchanged_by_int_scalars():
+    for value in (Fraction(0), Fraction(3), Fraction(-5), Fraction(7, 4), Fraction(-1, 3)):
+        canonical = QQ.parse(str(value))
+        assert QQ.format(canonical) == QQ.format(value) == str(value)
+        assert QQ.parse(QQ.format(canonical)) == value
+
+
+def test_rationals_mixed_ops_match_fraction_arithmetic():
+    """1,000 seeded random operations on ints and Fractions: never a float,
+    always equal to plain Fraction arithmetic, integral results as int."""
+    rng = random.Random(3001)
+    pool = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    ops = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+    }
+    for _ in range(1000):
+        name = rng.choice(sorted(ops))
+        a, b = rng.choice(pool), rng.choice(pool)
+        if name == "div" and b == 0:
+            continue
+        got = getattr(QQ, name)(a, b)
+        want = ops[name](Fraction(a), Fraction(b))
+        assert not isinstance(got, float)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+        if abs(want.numerator) < 10**6 and want.denominator < 10**6:
+            pool.append(got)
