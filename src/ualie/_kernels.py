@@ -1,55 +1,33 @@
-"""Backend selector for the integer elimination kernels.
+"""Exact integer and mod-p elimination kernels, in pure Python.
 
-Prefers the compiled ``ualie._accel`` extension and falls back to the
-pure-Python implementations in ``ualie._pure``.  Set ``UALIE_PURE=1`` to
-force the fallback (used by the benchmark and the backend-equality tests).
-Both backends return identical values on every input; the compiled int64
-Bareiss bails out (returns -1) when intermediates could overflow and the
-wrapper reruns the computation with big integers.
+One sparse reducer, `rref_mod_p`, serves every modular elimination: the
+nullity certificate over Q (`int_kernel_dim`), the row selection of
+`linalg.span_and_kernel`, and F_p nullities (`linalg.kernel_dim_fast`).
 
-Two routes, kept apart on purpose: `int_kernel_dim` carries the modular
-certificate, while `int_rank` is Bareiss alone, so a witness found through
-the modular route is re-verified by an independent one.  The certificate
-is one sparse RREF mod ``WITNESS_PRIME`` (`rref_mod_p`, shared with the
-row selection of `linalg.span_and_kernel`).  Full column rank mod p proves
-a zero kernel; otherwise the kernel basis mod p is lifted to Q by rational
-reconstruction and checked to be an exact kernel with integer dot products,
-which pins the nullity; when a lift or a check fails, Bareiss decides.
+Two routes over Q, kept apart on purpose: `int_kernel_dim` carries the
+modular certificate, while `int_rank` is Bareiss alone, so a witness found
+through the modular route is re-verified by an independent one.  The
+certificate is one sparse RREF mod ``WITNESS_PRIME``.  Full column rank mod
+p proves a zero kernel; otherwise the kernel basis mod p is lifted to Q by
+rational reconstruction and checked to be an exact kernel with integer dot
+products, which pins the nullity; when a lift or a check fails, Bareiss
+decides.
 """
 
 from __future__ import annotations
 
-import os
 from math import isqrt, lcm
 
-from . import _pure
-
-try:  # pragma: no cover - exercised via BACKEND assertions
-    from . import _accel  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    _accel = None
-
-if os.environ.get("UALIE_PURE") == "1":
-    _accel = None
-
-BACKEND = "compiled" if _accel is not None else "pure"
+# There is one implementation; perfbench stamps this in its environment line.
+BACKEND = "pure"
 
 # Fixed witness prime for the modular certificates: rows independent mod p
 # are independent over Q for integer matrices (never a false accept).
 WITNESS_PRIME = 2**31 - 1
 
-_I64_SAFE = 1 << 30
-
 # Numerators and denominators up to this bound are reconstructed uniquely
 # from a residue mod WITNESS_PRIME (2 * bound^2 < p).
 _LIFT_BOUND = isqrt(WITNESS_PRIME // 2)
-
-
-def rank_mod_p(entries, rows: int, cols: int, p: int) -> int:
-    """Exact rank over F_p; entries are arbitrary Python ints."""
-    if _accel is not None and p < (1 << 31):
-        return _accel.rank_mod_p_i64([e % p for e in entries], rows, cols, p)
-    return _pure.rank_mod_p(entries, rows, cols, p)
 
 
 def int_rank(entries, rows: int, cols: int) -> int:
@@ -57,15 +35,35 @@ def int_rank(entries, rows: int, cols: int) -> int:
 
     There is deliberately no modular shortcut here: witness re-verification
     relies on this routine sharing nothing with the modular certificate in
-    `int_kernel_dim` that found the witness.
+    `int_kernel_dim` that found the witness.  Python's big integers keep
+    every intermediate exact, and Bareiss keeps them minor-sized (the
+    interior divisions are exact by construction).
     """
-    if min(rows, cols) == 0:
-        return 0
-    if _accel is not None:
-        r = _accel.int_rank_i64(entries, rows, cols)
-        if r >= 0:
-            return r
-    return _pure.int_rank(entries, rows, cols)
+    m = [list(entries[r * cols : (r + 1) * cols]) for r in range(rows)]
+    rank = 0
+    prev = 1
+    for c in range(cols):
+        piv = -1
+        for r in range(rank, rows):
+            if m[r][c]:
+                piv = r
+                break
+        if piv < 0:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        pv = prow[c]
+        for r in range(rank + 1, rows):
+            row = m[r]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (pv * row[j] - f * prow[j]) // prev
+            row[c] = 0
+        prev = pv
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def _sub_scaled_mod(dst: dict, f: int, src: dict, p: int):

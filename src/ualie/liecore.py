@@ -80,14 +80,6 @@ class StructureConstantAlgebra:
         v[i] = self.field.one
         return v
 
-    def parse_element(self, strings):
-        if len(strings) != self.dim:
-            raise DimensionMismatch(f"element needs {self.dim} coordinates")
-        return [self.field.parse(s) for s in strings]
-
-    def format_element(self, v):
-        return [self.field.format(x) for x in v]
-
     # -- bracket ----------------------------------------------------------
 
     def bracket(self, x, y):
@@ -235,21 +227,7 @@ class StructureConstantAlgebra:
                         failures.append((i, j, k, defect))
         return ValidationReport(not failures, failures)
 
-    # -- structural comparison and serialization -----------------------------
-
-    def same_structure(self, other: "StructureConstantAlgebra") -> bool:
-        """Equal field, dimension, and structure constants (names ignored)."""
-        if self.field != other.field or self.dim != other.dim:
-            return False
-        keys = set(self.brackets) | set(other.brackets)
-        F = self.field
-        for key in keys:
-            a = self.brackets.get(key, {})
-            b = other.brackets.get(key, {})
-            for k in set(a) | set(b):
-                if not F.is_zero(F.sub(a.get(k, F.zero), b.get(k, F.zero))):
-                    return False
-        return True
+    # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         F = self.field

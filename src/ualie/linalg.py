@@ -371,17 +371,22 @@ def span_and_kernel(field, n: int, rows: list):
 
 
 def kernel_dim_fast(m: Matrix) -> int:
-    """Exact nullity with integer fast paths (Q and small F_p)."""
+    """Exact nullity by the integer kernels in `_kernels`.
+
+    Over Q, the lifted modular certificate of `int_kernel_dim`; over F_p,
+    for every prime, cols minus the rank of one sparse RREF mod p
+    (`rref_mod_p`); over other fields, `kernel`.
+    """
     from . import _kernels
 
     F = m.field
     if F.kind == "Q":
         ints = integerized_entries(m)
         return _kernels.int_kernel_dim(ints, m.rows, m.cols)
-    if F.kind == "Fp" and F.p < (1 << 31):
-        if m.rows == 0:
-            return m.cols
-        return m.cols - _kernels.rank_mod_p(m.entries, m.rows, m.cols, F.p)
+    if F.kind == "Fp":
+        rows = [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
+        basis, _ = _kernels.rref_mod_p(rows, m.cols, F.p)
+        return m.cols - len(basis)
     return kernel(m).dim
 
 

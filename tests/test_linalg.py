@@ -15,6 +15,7 @@ from ualie.linalg import (
     Matrix,
     Subspace,
     kernel,
+    kernel_dim_fast,
     rank,
     rref,
     solve,
@@ -96,6 +97,31 @@ def test_kernel_vectors_are_killed():
             assert K.dim == n - rank(M)
             for v in K.basis.row_list():
                 assert vector_is_zero(F, M.mat_vec(v))
+
+
+def test_kernel_dim_fast_matches_kernel_over_prime_fields():
+    """The sparse mod-p nullity equals the RREF kernel for small and large p,
+    on empty, zero-row-padded, low-rank and random matrices."""
+    rng = random.Random(2161)
+    for p in (2, 3, 5, 101, 2**31 - 1, 2**61 - 1):
+        F = PrimeField(p)
+        for _ in range(40):
+            rows, cols = rng.randint(0, 7), rng.randint(1, 7)
+            if rng.random() < 0.5:  # a product of rank at most inner
+                inner = rng.randint(0, 3)
+                b = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+                c = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+                data = [
+                    [sum(b[r][t] * c[t][j] for t in range(inner)) % p for j in range(cols)]
+                    for r in range(rows)
+                ]
+            else:  # random rows, some of them zero
+                data = [
+                    [0] * cols if rng.random() < 0.3 else [rng.randrange(p) for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            M = Matrix(F, rows, cols, [x for row in data for x in row])
+            assert kernel_dim_fast(M) == kernel(M).dim
 
 
 def test_solve_round_trip_random():
