@@ -14,21 +14,18 @@ all commutators but breaks additivity, so the algebra cannot have unique
 addition.  The three cases (commutative; center meeting the derived
 subalgebra trivially; nontrivially) pick different swap pairs.
 
-Also here: ampleness of seaweed root sets, suitable commutative subalgebras
-(simultaneous diagonalization with in-field eigenvalues), split solvable
-presentations and their admissibility, a verdict driver combining all of
-the above, and a central-extension injection that turns any non-perfect
-algebra over a field with at least three scalars into a commutator-
-preserving, non-additive embedding witness.
+Also here: ampleness of seaweed root sets, a verdict driver combining the
+above, and a central-extension injection that turns any non-perfect algebra
+over a field with at least three scalars into a commutator-preserving,
+non-additive embedding witness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
+from . import _kernels, finite
 from .constructions import SeaweedSpec, build_example_5_7, build_seaweed
 from .errors import (
     HypothesesNotMet,
@@ -38,13 +35,11 @@ from .errors import (
 from .liecore import StructureConstantAlgebra
 from .linalg import (
     Matrix,
-    Subspace,
     integerized_entries,
     kernel,
     kernel_dim_fast,
     rank,
     rref,
-    solve,
     vec_add,
     vec_scale,
     vec_sub,
@@ -53,7 +48,6 @@ from .linalg import (
 )
 from .rng import (
     DEFAULT_SEED,
-    OFFSET_ADMISSIBLE,
     OFFSET_C_CONDITION,
     OFFSET_INJECTION,
     OFFSET_REFUTATION,
@@ -88,8 +82,6 @@ NOTE_OPEN_PERFECT_CENTER = (
 DEFAULT_TRIALS = 64
 DEFAULT_BOUND = 1024
 DEFAULT_SAMPLES = 100
-DEFAULT_PAIR_CAP = 1 << 16
-DEFAULT_ENUM_CAP = 32
 
 
 def _random_vector(field, n, rng, bound):
@@ -127,22 +119,15 @@ def _zero_column_mask(m: Matrix) -> int:
     return mask
 
 
-def _mutual_dim_with_ads(ada: Matrix, adb: Matrix) -> int:
-    return kernel_dim_fast(ada.stack(adb))
-
-
 def _verify_witness_exactly(g, a, b) -> bool:
-    """Independent re-verification that C(a) and C(b) meet only in zero.
+    """Independent re-verification over Q that C(a) and C(b) meet only in zero.
 
-    Over Q: the integerized stack [ad a; ad b] must have rank dim by
-    fraction-free Bareiss elimination (`_kernels.int_rank`), which shares no
-    step with the modular certificate that found the pair.  Over a finite
-    field: the two centralizer subspaces are intersected by RREF.
+    The integerized stack [ad a; ad b] must have rank dim by fraction-free
+    Bareiss elimination (`_kernels.int_rank`), which shares no step with the
+    modular certificate that found the pair.
     """
-    if g.field.kind == "Q":
-        m = g.ad_matrix(a).stack(g.ad_matrix(b))
-        return _kernels.int_rank(integerized_entries(m), m.rows, m.cols) == g.dim
-    return g.centralizer(a).intersect(g.centralizer(b)).dim == 0
+    m = g.ad_matrix(a).stack(g.ad_matrix(b))
+    return _kernels.int_rank(integerized_entries(m), m.rows, m.cols) == g.dim
 
 
 def c_condition(
@@ -150,42 +135,23 @@ def c_condition(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     bound: int = DEFAULT_BOUND,
-    pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> CConditionResult:
     """Search for a pair of elements with trivially intersecting centralizers.
 
-    Over the rationals: a nonzero center certifies failure outright; the
-    deterministic schedule tries the unordered basis pairs i < j (the mutual
-    centralizer is symmetric and (i, i) always fails), then each basis
-    vector against the sum of all basis vectors, then the even-indexed sum
-    against the odd-indexed sum; finally ``trials`` random pairs with
-    coordinates uniform in [-bound, bound].  A found witness is re-verified
-    through an independent exact route before being reported.  Over a finite
-    field the search is exhaustive when q^(2 dim) fits under ``pair_cap``.
+    The algebra must be over Q.  A nonzero center certifies failure
+    outright; the deterministic schedule tries the unordered basis pairs
+    i < j (the mutual centralizer is symmetric and (i, i) always fails),
+    then each basis vector against the sum of all basis vectors, then the
+    even-indexed sum against the odd-indexed sum; finally ``trials`` random
+    pairs with coordinates uniform in [-bound, bound].  A found witness is
+    re-verified through an independent exact route before being reported.
+    Any other field raises ``UnsupportedField``: the criterion needs
+    infinitely many scalars.
     """
     F = g.field
     n = g.dim
     if F.kind != "Q":
-        if g.center().dim > 0:
-            return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None, "nontrivial center")
-        q = F.order
-        if q ** (2 * n) > pair_cap:
-            raise UnsupportedField(
-                f"exhaustive pair search needs q^(2n) <= {pair_cap}, got {q}^{2 * n}"
-            )
-        count = 0
-        vectors = [list(v) for v in _all_vectors(F, n)]
-        for a in vectors:
-            for b in vectors:
-                count += 1
-                if g.mutual_centralizer_dim(a, b) == 0:
-                    if not _verify_witness_exactly(g, a, b):
-                        raise HypothesesNotMet("witness failed exact re-verification")
-                    return CConditionResult(OUTCOME_HOLDS, (a, b), count, None, None)
-        return CConditionResult(
-            OUTCOME_CERTIFIED_FAILS, None, count, None, "exhausted all pairs"
-        )
-
+        raise UnsupportedField("the C-condition search runs over Q only")
     if g.center().dim > 0:
         return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None, "nontrivial center")
 
@@ -197,7 +163,7 @@ def c_condition(
         # mutual centralizer, so such pairs are rejected without elimination
         if mask_a & mask_b:
             return False
-        if _mutual_dim_with_ads(ada, adb) != 0:
+        if kernel_dim_fast(ada.stack(adb)) != 0:
             return False
         if not _verify_witness_exactly(g, a, b):
             raise HypothesesNotMet("witness failed exact re-verification")
@@ -229,15 +195,6 @@ def c_condition(
             return CConditionResult(OUTCOME_HOLDS, (a, b), t, None, None)
     bound_str = f"({n}/{2 * bound + 1})^{trials}"
     return CConditionResult(OUTCOME_PROBABLY_FAILS, None, trials, bound_str, None)
-
-
-def _all_vectors(field, n):
-    if n == 0:
-        yield []
-        return
-    for rest in _all_vectors(field, n - 1):
-        for x in field.elements():
-            yield rest + [x]
 
 
 # ---------------------------------------------------------------------------
@@ -506,330 +463,6 @@ def check_ample(roots, n: int) -> AmpleResult:
 
 
 # ---------------------------------------------------------------------------
-# suitable commutative subalgebras
-
-
-@dataclass
-class SuitablePairReport:
-    suitable: bool
-    reason: str  # "ok" | "not_commutative" | "not_diagonalizable" | ...
-    weights: list  # [(weight tuple of scalars, block dimension)]
-    zero_block_dim: int
-    detail: str = ""
-
-
-def _char_poly_rational(R: Matrix):
-    """Exact characteristic polynomial over Q, monic, constant term last."""
-    m = R.rows
-    I = Matrix.identity(R.field, m)
-    coeffs = [Fraction(1)]
-    M = Matrix.zero(R.field, m, m)
-    for k in range(1, m + 1):
-        # M_k = R M_{k-1} + c_{k-1} I ; c_k = -tr(R M_k)/k
-        M = R.mat_mul(M)
-        M = Matrix(R.field, m, m, [a + b for a, b in zip(M.entries, [coeffs[-1] * e for e in I.entries])])
-        RM = R.mat_mul(M)
-        tr = sum(RM.at(i, i) for i in range(m))
-        coeffs.append(Fraction(-tr, k))
-    return coeffs  # p(x) = sum coeffs[k] x^(m-k)
-
-
-def _divisors(v: int):
-    v = abs(v)
-    out = set()
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.add(d)
-            out.add(v // d)
-        d += 1
-    return out
-
-
-def _rational_eigen_candidates(R: Matrix):
-    coeffs = _char_poly_rational(R)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()  # factor out x; zero is always a candidate anyway
-    cands = {Fraction(0)}
-    if not ints:
-        return cands
-    lead, const = ints[0], ints[-1]
-    if abs(const) > 10**15 or abs(lead) > 10**15:
-        return None  # coefficient blow-up: give up on the rational root search
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return cands
-
-
-def check_suitable_pair(g: StructureConstantAlgebra, h_basis: Subspace) -> SuitablePairReport:
-    """Is (g, h) a suitable pair: h commutative, ad(h) simultaneously
-    diagonalizable with in-field weights, zero-weight space exactly h, and
-    the nonzero weights jointly separating h?
-    """
-    F = g.field
-    if h_basis.ambient_dim != g.dim or h_basis.field != F:
-        raise HypothesesNotMet("h must be a subspace of the algebra")
-    k = h_basis.dim
-    hrows = [h_basis.basis.row(i) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not vector_is_zero(F, g.bracket(hrows[i], hrows[j])):
-                return SuitablePairReport(False, "not_commutative", [], 0,
-                                          f"[h_{i + 1}, h_{j + 1}] != 0")
-
-    blocks = [([g.basis_vector(i) for i in range(g.dim)], ())]
-    for s in range(k):
-        A = g.ad_matrix(hrows[s])
-        new_blocks = []
-        for rows, wt in blocks:
-            d = len(rows)
-            basis_t = Matrix.from_rows(F, rows).transpose()  # n x d
-            R_cols = []
-            for w in rows:
-                img = A.mat_vec(w)
-                sol = solve(basis_t, img)
-                if sol is None or not vectors_equal(F, basis_t.mat_vec(sol), img):
-                    return SuitablePairReport(False, "not_diagonalizable", [], 0,
-                                              "weight space not invariant")
-                R_cols.append(sol)
-            R = Matrix.from_rows(F, R_cols).transpose()  # d x d restriction
-            if F.kind == "Q":
-                cands = _rational_eigen_candidates(R)
-                if cands is None:
-                    return SuitablePairReport(False, "not_diagonalizable", [], 0,
-                                              "eigenvalue search aborted (huge coefficients)")
-            else:
-                if F.order > 4096:
-                    raise UnsupportedField("eigenvalue scan capped at field order 4096")
-                cands = list(F.elements())
-            found = 0
-            lam_order = sorted(cands) if F.kind == "Q" else list(cands)
-            for lam in lam_order:
-                shifted = Matrix(
-                    F, d, d,
-                    [F.sub(e, lam if (i % (d + 1) == 0) else F.zero)
-                     for i, e in enumerate(R.entries)],
-                )
-                ker = kernel(shifted)
-                if ker.dim == 0:
-                    continue
-                found += ker.dim
-                lifted = []
-                for r in range(ker.dim):
-                    coeffs = ker.basis.row(r)
-                    vec = [F.zero] * g.dim
-                    for idx, c in enumerate(coeffs):
-                        if not F.is_zero(c):
-                            vec = vec_add(F, vec, vec_scale(F, c, rows[idx]))
-                    lifted.append(vec)
-                new_blocks.append((lifted, wt + (lam,)))
-            if found != d:
-                return SuitablePairReport(False, "not_diagonalizable", [], 0,
-                                          "eigenvalues do not lie in the field or "
-                                          "geometric multiplicities fall short")
-        blocks = new_blocks
-
-    weights = []
-    zero_block = Subspace.zero(F, g.dim)
-    nonzero_wts = []
-    for rows, wt in blocks:
-        weights.append((wt, len(rows)))
-        if all(F.is_zero(c) for c in wt):
-            zero_block = Subspace.from_spanning(F, g.dim, rows)
-        else:
-            nonzero_wts.append(list(wt))
-    hsub = Subspace.from_spanning(F, g.dim, hrows)
-    if zero_block != hsub:
-        return SuitablePairReport(False, "zero_weight_space_not_h", weights, zero_block.dim,
-                                  f"zero-weight space has dim {zero_block.dim}, h has dim {k}")
-    if k > 0:
-        wt_rank = rank(Matrix.from_rows(F, nonzero_wts)) if nonzero_wts else 0
-        if wt_rank != k:
-            return SuitablePairReport(False, "weights_do_not_separate", weights, zero_block.dim,
-                                      "joint kernel of the nonzero weights is nontrivial")
-    return SuitablePairReport(True, "ok", weights, zero_block.dim)
-
-
-# ---------------------------------------------------------------------------
-# split solvable presentations r = k (+ n
-
-
-@dataclass
-class SplitPresentation:
-    """A torus of dimension k_dim acting diagonally on a nilpotent algebra.
-
-    ``blocks`` partitions the basis indices of ``n_algebra``; every index in
-    ``blocks[b]`` carries the weight vector ``weights[b]`` (the eigenvalue of
-    the s-th torus generator is ``weights[b][s]``).
-    """
-
-    k_dim: int
-    n_algebra: StructureConstantAlgebra
-    weights: list  # one scalar tuple of length k_dim per block
-    blocks: list  # one list of basis indices per block
-
-    def action_matrices(self):
-        F = self.n_algebra.field
-        n = self.n_algebra.dim
-        index_weight = {}
-        for wt, blk in zip(self.weights, self.blocks):
-            for idx in blk:
-                index_weight[idx] = wt
-        mats = []
-        for s in range(self.k_dim):
-            ent = [F.zero] * (n * n)
-            for idx in range(n):
-                ent[idx * n + idx] = index_weight[idx][s]
-            mats.append(Matrix(F, n, n, ent))
-        return mats
-
-    def zero_block_indices(self):
-        F = self.n_algebra.field
-        for wt, blk in zip(self.weights, self.blocks):
-            if all(F.is_zero(c) for c in wt):
-                return list(blk)
-        return []
-
-
-@dataclass
-class SplitCheckReport:
-    ok: bool
-    checks: list  # [(name, ok, detail)]
-    assembled: StructureConstantAlgebra | None
-
-
-def check_split_presentation(p: SplitPresentation) -> SplitCheckReport:
-    """Validate a split presentation and assemble the semidirect sum.
-
-    Checks: the blocks partition the basis, weights are pairwise distinct
-    (so at most one block has weight zero), the weight matrix has full rank
-    k (the torus acts faithfully), n is nilpotent, and each torus generator
-    acts as a derivation — the last check is delegated to the semidirect-sum
-    constructor, which verifies it exactly.
-    """
-    from .constructions import build_abelian, semidirect
-
-    n_alg = p.n_algebra
-    F = n_alg.field
-    checks = []
-
-    seen = sorted(idx for blk in p.blocks for idx in blk)
-    partition_ok = seen == list(range(n_alg.dim)) and len(p.blocks) == len(p.weights)
-    checks.append(("blocks partition the basis", partition_ok, ""))
-
-    shape_ok = all(len(wt) == p.k_dim for wt in p.weights)
-    checks.append(("every weight has length k", shape_ok, ""))
-
-    distinct_ok = shape_ok and len({tuple(wt) for wt in p.weights}) == len(p.weights)
-    checks.append(("weights pairwise distinct", distinct_ok, ""))
-
-    if not (partition_ok and shape_ok and distinct_ok):
-        return SplitCheckReport(False, checks, None)
-
-    nonzero = [list(wt) for wt in p.weights if not all(F.is_zero(c) for c in wt)]
-    if p.k_dim == 0:
-        faithful = True
-    else:
-        faithful = bool(nonzero) and rank(Matrix.from_rows(F, nonzero)) == p.k_dim
-    checks.append(("torus acts faithfully (weight matrix has rank k)", faithful, ""))
-
-    nilp = n_alg.is_nilpotent()
-    checks.append(("n is nilpotent", nilp, ""))
-
-    assembled = None
-    deriv_ok = True
-    detail = ""
-    try:
-        k_alg = build_abelian(F, p.k_dim)
-        k_alg.name = f"torus({p.k_dim})"
-        assembled = semidirect(k_alg, n_alg, p.action_matrices(),
-                               name=f"split({n_alg.name})")
-    except Exception as exc:  # NotADerivation / InvalidStructure
-        deriv_ok = False
-        detail = str(exc)
-    checks.append(("torus generators act as derivations", deriv_ok, detail))
-
-    ok = all(c[1] for c in checks)
-    return SplitCheckReport(ok, checks, assembled if ok else None)
-
-
-# ---------------------------------------------------------------------------
-# admissibility of a split presentation
-
-
-@dataclass
-class AdmissibleResult:
-    status: str  # "admissible" | "probably_not" | "certified_not"
-    witness: list | None  # element x of n with C_n(x) meeting n0 trivially
-    trials_run: int
-    failure_bound: str | None
-    note: str
-
-
-def check_admissible(
-    p: SplitPresentation,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    bound: int = DEFAULT_BOUND,
-) -> AdmissibleResult:
-    """Look for x in n whose centralizer meets the zero-weight block only in 0.
-
-    If the zero-weight block meets the center of n the answer is a certified
-    no.  Otherwise two deterministic candidates (one basis vector per nonzero
-    block; the sum over every nonzero block) are tried before seeded random
-    trials; like the C-condition search, a miss only bounds the probability
-    that a witness exists.
-    """
-    n_alg = p.n_algebra
-    F = n_alg.field
-    n = n_alg.dim
-    n0 = p.zero_block_indices()
-    if not n0:
-        witness = [F.zero] * n
-        return AdmissibleResult("admissible", witness, 0, None,
-                                "no zero-weight block, nothing to separate")
-
-    def restricted_kernel_dim(x):
-        A = n_alg.ad_matrix(x)
-        cols = [[A.at(r, c) for c in n0] for r in range(n)]
-        return kernel_dim_fast(Matrix.from_rows(F, cols))
-
-    center = n_alg.center()
-    n0_vectors = [n_alg.basis_vector(i) for i in n0]
-    n0_sub = Subspace.from_spanning(F, n, n0_vectors)
-    if center.intersect(n0_sub).dim > 0:
-        return AdmissibleResult("certified_not", None, 0, None,
-                                "the zero-weight block meets the center of n")
-
-    nonzero_blocks = [blk for wt, blk in zip(p.weights, p.blocks)
-                      if not all(F.is_zero(c) for c in wt)]
-    det1 = [F.zero] * n
-    det2 = [F.zero] * n
-    for blk in nonzero_blocks:
-        det1 = vec_add(F, det1, n_alg.basis_vector(blk[0]))
-        for idx in blk:
-            det2 = vec_add(F, det2, n_alg.basis_vector(idx))
-    for cand in (det1, det2):
-        if restricted_kernel_dim(cand) == 0:
-            return AdmissibleResult("admissible", cand, 0, None, "deterministic candidate")
-
-    rng = XorShift64Star(child_seed(seed, OFFSET_ADMISSIBLE))
-    for t in range(1, trials + 1):
-        x = _random_vector(F, n, rng, bound)
-        if restricted_kernel_dim(x) == 0:
-            return AdmissibleResult("admissible", x, t, None, "random candidate")
-    bound_str = f"({len(n0)}/{2 * bound + 1})^{trials}"
-    return AdmissibleResult("probably_not", None, trials, bound_str,
-                            "no separating element found")
-
-
-# ---------------------------------------------------------------------------
 # central extension injection
 
 
@@ -1020,8 +653,6 @@ def verdict(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     bound: int = DEFAULT_BOUND,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> VerdictReport:
     """Decide UA / NOT_UA / UNKNOWN for a validated algebra.
 
@@ -1029,8 +660,9 @@ def verdict(
     search decides UA or leaves the question open; with nonzero center the
     swap criterion decides NOT_UA or leaves it open.  Over a finite field the
     positive criterion is unavailable (it needs infinitely many scalars), so
-    the swap criterion is tried first and small rings fall back to an
-    exhaustive weak-unique-addition search.
+    the swap criterion is tried first and rings of order at most
+    ``finite.ENUM_CAP`` fall back to an exhaustive weak-unique-addition
+    search.
     """
     F = g.field
     center = g.center()
@@ -1057,7 +689,7 @@ def verdict(
             return report
         if center.dim == 0:
             res = c_condition(g, trials=trials, seed=child_seed(seed, OFFSET_C_CONDITION),
-                              bound=bound, pair_cap=pair_cap)
+                              bound=bound)
             if res.outcome == OUTCOME_HOLDS:
                 report.verdict = VERDICT_UA
                 report.rule = RULE_C_CONDITION
@@ -1102,11 +734,8 @@ def verdict(
             report.bijection = neg.description.to_json_dict(F)
             return report
         order = F.order**g.dim
-        if order <= enum_cap:
-            from .finite import from_algebra, is_wua
-
-            ring = from_algebra(g)
-            wua, example = is_wua(ring)
+        if order <= finite.ENUM_CAP:
+            wua, example = finite.is_wua(finite.from_algebra(g))
             if not wua:
                 report.verdict = VERDICT_NOT_UA
                 report.rule = RULE_NONE
@@ -1124,7 +753,7 @@ def verdict(
                 )
             return report
         report.open_problem_note = (
-            f"Ring order {order} exceeds the exhaustive-search cap {enum_cap}; "
+            f"Ring order {order} exceeds the exhaustive-search cap {finite.ENUM_CAP}; "
             "no criterion applies over a finite field."
         )
         return report

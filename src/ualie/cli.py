@@ -23,11 +23,11 @@ from .scalars import parse_field_flag
 
 @dataclass
 class RunConfig:
-    seed: int = DEFAULT_SEED
-    trials: int = 64
-    bound: int = 1024
-    samples: int = 100
-    as_json: bool = True
+    seed: int
+    trials: int
+    bound: int
+    samples: int
+    as_json: bool
 
 
 def _config(args) -> RunConfig:
@@ -112,10 +112,14 @@ _FINITE_BUILTINS = ("klein", "z<m>", "heisenberg_f2", "heisenberg_f3")
 
 
 def _load_ring(source: str) -> finite.FiniteLieRing:
+    """A builtin or file ring, refused before its tables are built or
+    checked when its order is past the enumeration cap."""
     if source == "klein":
         return finite.klein_ring()
     if source.startswith("z") and source[1:].isdigit():
-        return finite.cyclic_ring(int(source[1:]))
+        m = int(source[1:])
+        finite.require_enumerable(m)
+        return finite.cyclic_ring(m)
     if source in ("heisenberg_f2", "heisenberg_f3"):
         p = 2 if source.endswith("2") else 3
         from .scalars import PrimeField
@@ -135,6 +139,7 @@ def _load_ring(source: str) -> finite.FiniteLieRing:
         ring = finite.FiniteLieRing.from_json_dict(data, name=source)
     except UalieError as exc:
         raise _InputError(f"{source}: {exc}") from exc
+    finite.require_enumerable(ring.order)
     rep = ring.validate()
     if not rep.ok:
         raise _InputError(f"{source}: {rep.failures[0]}")
@@ -342,11 +347,11 @@ def _add_run_flags(parser, suppress: bool):
 
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=dflt(DEFAULT_SEED),
                         help="64-bit master seed (default 0x5EED5EED5EED5EED)")
-    parser.add_argument("--trials", type=int, default=dflt(64),
+    parser.add_argument("--trials", type=int, default=dflt(analysis.DEFAULT_TRIALS),
                         help="random trials for probabilistic searches")
-    parser.add_argument("--B", type=int, default=dflt(1024),
+    parser.add_argument("--B", type=int, default=dflt(analysis.DEFAULT_BOUND),
                         help="coordinate sampling bound")
-    parser.add_argument("--samples", type=int, default=dflt(100),
+    parser.add_argument("--samples", type=int, default=dflt(analysis.DEFAULT_SAMPLES),
                         help="verification sample count")
     out = parser.add_mutually_exclusive_group()
     out.add_argument("--json", dest="text", action="store_false", default=dflt(False),

@@ -325,6 +325,12 @@ def _additivity_witness(r: FiniteLieRing, s: FiniteLieRing, alpha):
     return None
 
 
+def require_enumerable(order: int) -> None:
+    """Refuse a ring whose order is past the enumeration cap."""
+    if order > ENUM_CAP:
+        raise TooLarge(f"enumeration capped at order {ENUM_CAP}")
+
+
 def commutator_bijections(r: FiniteLieRing, s: FiniteLieRing | None = None,
                           limit: int = 4):
     """Count all commutator-preserving bijections r -> s; keep ``limit`` tables."""
@@ -332,8 +338,7 @@ def commutator_bijections(r: FiniteLieRing, s: FiniteLieRing | None = None,
         s = r
     if r.order != s.order:
         raise OrderMismatch(f"orders differ: {r.order} vs {s.order}")
-    if r.order > ENUM_CAP:
-        raise TooLarge(f"enumeration capped at order {ENUM_CAP}")
+    require_enumerable(r.order)
     count = 0
     samples = []
     for alpha in _enumerate_bijections(r, s):
@@ -366,8 +371,7 @@ def is_wua(r: FiniteLieRing):
     A failure is witnessed by the offending map together with a pair (a,b)
     where alpha(a+b) != alpha(a)+alpha(b).
     """
-    if r.order > ENUM_CAP:
-        raise TooLarge(f"enumeration capped at order {ENUM_CAP}")
+    require_enumerable(r.order)
     for alpha in _enumerate_bijections(r, r):
         w = _additivity_witness(r, r, alpha)
         if w is not None:
@@ -384,8 +388,7 @@ def ua_against(r: FiniteLieRing, s: FiniteLieRing):
     """
     if r.order != s.order:
         raise OrderMismatch(f"orders differ: {r.order} vs {s.order}")
-    if r.order > ENUM_CAP:
-        raise TooLarge(f"enumeration capped at order {ENUM_CAP}")
+    require_enumerable(r.order)
     count = 0
     for alpha in _enumerate_bijections(r, s):
         count += 1

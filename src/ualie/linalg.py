@@ -197,25 +197,6 @@ def _span_of_rref(r: Matrix, pivots) -> "Subspace":
     return Subspace(r.field, r.cols, basis)
 
 
-def solve(m: Matrix, b):
-    """One exact solution of m x = b (free variables zero), or None."""
-    F = m.field
-    if len(b) != m.rows:
-        raise DimensionMismatch("rhs length mismatch")
-    ents = []
-    for r in range(m.rows):
-        ents.extend(m.row(r))
-        ents.append(b[r])
-    aug = Matrix(F, m.rows, m.cols + 1, ents)
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None  # inconsistent: pivot in the augmented column
-    x = [F.zero] * m.cols
-    for prow_idx, pcol in enumerate(pivots):
-        x[pcol] = r.at(prow_idx, m.cols)
-    return x
-
-
 @dataclass
 class Subspace:
     """Subspace of F^n held as a canonical RREF basis (rows of ``basis``)."""

@@ -14,7 +14,6 @@ import pytest
 from ualie import analysis as an
 from ualie.constructions import SeaweedSpec, build_catalog, build_seaweed
 from ualie.errors import PerfectAlgebra, UnsupportedField
-from ualie.linalg import Subspace
 from ualie.scalars import QQ, ExtensionField, PrimeField
 
 Z = Fraction(0)
@@ -84,21 +83,24 @@ def test_c_condition_deterministic_across_runs():
     )
 
 
-def test_c_condition_finite_field_exhaustive():
-    g = build_catalog("sl", PrimeField(3), n=2)
-    res = an.c_condition(g)
-    # 3^6 = 729 pairs fit under the cap, so the search is exhaustive
-    assert res.outcome in (an.OUTCOME_HOLDS, an.OUTCOME_CERTIFIED_FAILS)
-    if res.outcome == an.OUTCOME_HOLDS:
-        a, b = res.witness
-        assert g.mutual_centralizer_dim(a, b) == 0
+def test_c_condition_refuses_finite_fields():
+    # checked before the center: heisenberg over F_3 has a nonzero one
+    for g in (
+        build_catalog("sl", PrimeField(3), n=2),
+        build_catalog("heisenberg", PrimeField(3), k=1),
+        build_catalog("sl", ExtensionField(3, 2), n=2),
+    ):
+        with pytest.raises(UnsupportedField):
+            an.c_condition(g)
 
 
-def test_c_condition_finite_field_over_cap_refuses():
-    # centerless, so the cheap certificate cannot fire before the cap check
-    g = build_catalog("sl", PrimeField(101), n=2)  # 101^6 pairs
-    with pytest.raises(UnsupportedField):
-        an.c_condition(g, pair_cap=1000)
+def test_verdict_over_fp_never_calls_c_condition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("c_condition called over a finite field")
+
+    monkeypatch.setattr(an, "c_condition", refuse)
+    assert an.verdict(build_catalog("sl", PrimeField(5), n=2)).verdict == an.VERDICT_UNKNOWN
+    assert an.verdict(build_catalog("heisenberg", PrimeField(3), k=1)).verdict == an.VERDICT_NOT_UA
 
 
 # ---------------------------------------------------------------------------
@@ -225,107 +227,6 @@ def test_ample_consistency_on_random_root_sets():
         res = an.check_ample(frozenset(roots), n)
         assert res.span_dim == n - res.components
         assert res.ample == (res.components == 1)
-
-
-# ---------------------------------------------------------------------------
-# suitable pairs, split presentations, admissibility
-
-
-def sl3_cartan():
-    g = build_catalog("sl", QQ, n=3)
-    h = Subspace.from_spanning(
-        QQ, 8, [[Z] * 6 + [O, Z], [Z] * 6 + [Z, O]]
-    )
-    return g, h
-
-
-def test_suitable_pair_sl3_cartan():
-    g, h = sl3_cartan()
-    rep = an.check_suitable_pair(g, h)
-    assert rep.suitable and rep.reason == "ok"
-    assert rep.zero_block_dim == 2
-    # six root weights with multiplicity one, plus the zero weight of h itself
-    assert len(rep.weights) == 7
-    mult = {w: m for w, m in rep.weights}
-    assert mult[(Z, Z)] == 2
-    assert sum(m for _, m in rep.weights) == 8
-
-
-def test_suitable_pair_rejects_noncommutative():
-    g = build_catalog("t", QQ, n=2)
-    h = Subspace.from_spanning(QQ, 3, [[O, Z, Z], [Z, O, Z]])  # E11, E12
-    rep = an.check_suitable_pair(g, h)
-    assert not rep.suitable and rep.reason == "not_commutative"
-
-
-def test_suitable_pair_center_inside_h_cannot_separate():
-    # diagonal of t(2) contains the identity, whose weights all vanish
-    g = build_catalog("t", QQ, n=2)
-    h = Subspace.from_spanning(QQ, 3, [[O, Z, Z], [Z, Z, O]])  # E11, E22
-    rep = an.check_suitable_pair(g, h)
-    assert not rep.suitable and rep.reason == "weights_do_not_separate"
-
-
-def heis_presentation():
-    heis = build_catalog("heisenberg", QQ, k=1)
-    return an.SplitPresentation(1, heis, [(O,), (Fraction(2),)], [[0, 1], [2]])
-
-
-def test_split_presentation_checks_pass():
-    rep = an.check_split_presentation(heis_presentation())
-    assert rep.ok
-    assert all(ok for _, ok, _ in rep.checks)
-    assert rep.assembled is not None
-    assert rep.assembled.dim == 4  # torus + heisenberg
-    assert rep.assembled.validate().ok
-
-
-def test_split_presentation_catches_bad_weights():
-    heis = build_catalog("heisenberg", QQ, k=1)
-    # weight of z must be the sum of the weights of x and y for a derivation
-    p = an.SplitPresentation(1, heis, [(O,), (Fraction(3),)], [[0, 1], [2]])
-    rep = an.check_split_presentation(p)
-    assert not rep.ok
-    failed = [name for name, ok, _ in rep.checks if not ok]
-    assert "torus generators act as derivations" in failed
-
-    # duplicate block weights are rejected before the derivation check
-    p2 = an.SplitPresentation(1, heis, [(O,), (O,)], [[0, 1], [2]])
-    rep2 = an.check_split_presentation(p2)
-    assert not rep2.ok
-    assert [name for name, ok, _ in rep2.checks if not ok] == [
-        "weights pairwise distinct"
-    ]
-
-
-def test_admissible_no_zero_block():
-    adm = an.check_admissible(heis_presentation())
-    assert adm.status == "admissible"
-    assert adm.trials_run == 0
-    assert adm.note == "no zero-weight block, nothing to separate"
-
-
-def test_admissible_zero_block_meets_center():
-    ab2 = build_catalog("abelian", QQ, d=2)
-    p = an.SplitPresentation(1, ab2, [(Z,), (O,)], [[0], [1]])
-    adm = an.check_admissible(p)
-    assert adm.status == "certified_not"
-    assert adm.note == "the zero-weight block meets the center of n"
-
-
-def test_admissible_deterministic_candidate():
-    # strictly upper triangular 3x3 with torus ad(diag(1,1,0)):
-    # weight(E12) = 0, weight(E13) = weight(E23) = 1
-    n3 = build_catalog("n", QQ, n=3)
-    p = an.SplitPresentation(1, n3, [(Z,), (O,)], [[0], [1, 2]])
-    assert an.check_split_presentation(p).ok
-    adm = an.check_admissible(p)
-    assert adm.status == "admissible"
-    assert adm.note == "deterministic candidate"
-    x = adm.witness
-    # the witness acts injectively on the zero-weight block: [E12, x] != 0
-    e12 = [O, Z, Z]
-    assert any(c != 0 for c in n3.bracket(e12, x))
 
 
 # ---------------------------------------------------------------------------

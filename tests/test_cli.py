@@ -180,6 +180,29 @@ def test_finite_ring_file(capsys, tmp_path):
     assert d["order"] == 6 and d["wua"] is False
 
 
+def test_finite_oversize_ring_fails_before_tables(capsys, tmp_path, monkeypatch):
+    """Past the enumeration cap, neither the z<m> tables nor the O(N^3)
+    axiom check of a ring file is built before the refusal."""
+    from ualie import finite as fin
+
+    path = tmp_path / "z33.json"
+    path.write_text(json.dumps(fin.cyclic_ring(33).to_json_dict()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or validated a ring past the cap")
+
+    monkeypatch.setattr(fin, "cyclic_ring", refuse)
+    monkeypatch.setattr(fin.FiniteLieRing, "validate", refuse)
+    for argv in (
+        ("finite", "wua", "z33"),
+        ("finite", "wua", str(path)),
+        ("finite", "against", "z33", "z4"),
+        ("finite", "against", "klein", str(path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "input error: enumeration capped at order 32\n")
+
+
 def test_finite_field_report(capsys):
     code, out, _ = run_cli(capsys, "finite", "field", "--p", "5")
     assert code == 0

@@ -12,6 +12,11 @@ and F_3, on broken variants of sl(3), gl(3), t(3) and n(4) with one
 structure constant bumped by 1 or by 1/2, and the stdout and exit code of
 ``ualie validate`` on one broken file.
 
+``cli.jsonl`` pins the exit code, stdout and stderr of the ``finite`` and
+``counterexample`` commands, and of ``analyze`` on sl(2) over F_3 (order 27,
+searched exhaustively) and over F_5 (order 125, past the exhaustive-search
+cap, which the note names).
+
 Regenerate (only when a report is meant to change) with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
@@ -99,6 +104,14 @@ def _bumped(g, key, delta):
     return StructureConstantAlgebra(f"{g.name}~", g.field, g.dim, g.basis_names, brackets)
 
 
+def _cli(argv):
+    """Exit code, stdout and stderr of ``ualie *argv`` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _cli_validate_stdout(g, *flags):
     """Exit code and stdout of ``ualie validate broken.json`` run where g is saved."""
     cwd = os.getcwd()
@@ -106,12 +119,10 @@ def _cli_validate_stdout(g, *flags):
         os.chdir(tmp)
         try:
             g.save("broken.json")
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["validate", "broken.json", *flags])
+            code, stdout, _ = _cli(["validate", "broken.json", *flags])
         finally:
             os.chdir(cwd)
-    return code, out.getvalue()
+    return code, stdout
 
 
 def validate_lines():
@@ -141,10 +152,35 @@ def validate_lines():
         yield json.dumps({"case": case, "exit": code, "stdout": stdout}, separators=(",", ":"))
 
 
+CLI_COMMANDS = (
+    [f"finite wua {ring}" for ring in ("klein", "z5", "heisenberg_f2", "heisenberg_f3", "z33")]
+    + [
+        "finite against klein z4",
+        "finite field --p 5",
+        "finite field --p 2 --n 2",
+        "counterexample negcrit --builtin gl --n 2",
+        "counterexample injection --builtin s2",
+        "counterexample injection --builtin gl --n 2 --field Fp:3",
+        "analyze --builtin sl --n 2 --field Fp:3",
+        "analyze --builtin sl --n 2 --field Fp:5",
+    ]
+)
+
+
+def cli_lines():
+    for command in CLI_COMMANDS:
+        code, stdout, stderr = _cli(command.split())
+        yield json.dumps(
+            {"case": f"ualie {command}", "exit": code, "stdout": stdout, "stderr": stderr},
+            separators=(",", ":"),
+        )
+
+
 CORPUS = {
     "verdict_catalog.jsonl": catalog_lines,
     "seaweed_n4.jsonl": seaweed_lines,
     "validate.jsonl": validate_lines,
+    "cli.jsonl": cli_lines,
 }
 
 
@@ -166,6 +202,10 @@ def test_golden_seaweed_n4_verdicts():
 
 def test_golden_validate_failures():
     _check("validate.jsonl")
+
+
+def test_golden_cli_commands():
+    _check("cli.jsonl")
 
 
 if __name__ == "__main__":
