@@ -1,8 +1,8 @@
 """Exact integer and mod-p elimination kernels, in pure Python.
 
-One sparse reducer, `rref_mod_p`, serves every modular elimination: the
-nullity certificate over Q (`int_kernel_dim`), the row selection of
-`linalg.span_and_kernel`, and F_p nullities (`linalg.kernel_dim_fast`).
+One sparse reducer, `rref_mod_p`, serves every modular elimination, both
+over Q: the nullity certificate (`int_kernel_dim`) and the row selection of
+`linalg.span_and_kernel`.  Nullities over F_p do not come here.
 
 Two routes over Q, kept apart on purpose: `int_kernel_dim` carries the
 modular certificate, while `int_rank` is Bareiss alone, so a witness found

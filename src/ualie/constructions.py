@@ -19,16 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadCharacteristic,
-    BadParams,
-    InvalidStructure,
-    NotADerivation,
-    NotAHomomorphism,
-    UnknownCatalogName,
-)
+from .errors import BadCharacteristic, BadParams, InvalidStructure, UnknownCatalogName
 from .liecore import StructureConstantAlgebra
-from .linalg import Matrix, vec_add
 from .scalars import require_same_field
 
 # ---------------------------------------------------------------------------
@@ -410,84 +402,3 @@ def direct_sum(g1: StructureConstantAlgebra, g2: StructureConstantAlgebra, name=
         g1.basis_names + g2.basis_names,
         brackets,
     )
-
-
-def semidirect(
-    l: StructureConstantAlgebra,
-    n_alg: StructureConstantAlgebra,
-    action,
-    name=None,
-) -> StructureConstantAlgebra:
-    """Semidirect sum l acting on the ideal n_alg.
-
-    ``action`` lists one matrix per basis vector of l (the operator of that
-    vector on n_alg).  Each matrix must be a derivation of n_alg and the
-    assignment must intertwine the bracket of l with matrix commutators;
-    both are checked exactly on basis pairs.
-    """
-    require_same_field(l.field, n_alg.field, "semidirect factors")
-    F = l.field
-    dn = n_alg.dim
-    if len(action) != l.dim:
-        raise BadParams("need one action matrix per basis vector of the acting algebra")
-    for m in action:
-        if m.rows != dn or m.cols != dn:
-            raise BadParams("action matrices must be dim(n) x dim(n)")
-        require_same_field(m.field, F, "action matrices")
-
-    def columns(m):
-        return [[m.at(r, c) for r in range(dn)] for c in range(dn)]
-
-    cols = [columns(m) for m in action]
-    for s, m in enumerate(action):
-        for i in range(dn):
-            for j in range(i + 1, dn):
-                lhs = m.mat_vec(n_alg.bracket(n_alg.basis_vector(i), n_alg.basis_vector(j)))
-                rhs = vec_add(
-                    F,
-                    n_alg.bracket(cols[s][i], n_alg.basis_vector(j)),
-                    n_alg.bracket(n_alg.basis_vector(i), cols[s][j]),
-                )
-                if any(not F.is_zero(F.sub(a, b)) for a, b in zip(lhs, rhs)):
-                    raise NotADerivation(
-                        f"action of {l.basis_names[s]} breaks the derivation rule on "
-                        f"({n_alg.basis_names[i]}, {n_alg.basis_names[j]})"
-                    )
-    for s in range(l.dim):
-        for t in range(s + 1, l.dim):
-            row = l.brackets.get((s, t), {})
-            expect = Matrix.zero(F, dn, dn)
-            for k, c in row.items():
-                scaled = Matrix(F, dn, dn, [F.mul(c, e) for e in action[k].entries])
-                expect = Matrix(F, dn, dn, [F.add(a, b) for a, b in zip(expect.entries, scaled.entries)])
-            got_ents = [
-                F.sub(a, b)
-                for a, b in zip(
-                    action[s].mat_mul(action[t]).entries, action[t].mat_mul(action[s]).entries
-                )
-            ]
-            if any(not F.is_zero(F.sub(a, b)) for a, b in zip(got_ents, expect.entries)):
-                raise NotAHomomorphism(
-                    f"action does not respect [{l.basis_names[s]}, {l.basis_names[t]}]"
-                )
-
-    brackets = {k: dict(v) for k, v in l.brackets.items()}
-    for s in range(l.dim):
-        for j in range(dn):
-            col = cols[s][j]
-            row = {l.dim + k: c for k, c in enumerate(col) if not F.is_zero(c)}
-            if row:
-                brackets[(s, l.dim + j)] = row
-    for (i, j), row in n_alg.brackets.items():
-        brackets[(i + l.dim, j + l.dim)] = {k + l.dim: c for k, c in row.items()}
-    out = StructureConstantAlgebra(
-        name or f"{l.name}|x{n_alg.name}",
-        F,
-        l.dim + dn,
-        l.basis_names + n_alg.basis_names,
-        brackets,
-    )
-    rep = out.validate()
-    if not rep.ok:
-        raise InvalidStructure(f"semidirect result fails Jacobi at {rep.first_failure()[:3]}")
-    return out

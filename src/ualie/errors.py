@@ -33,14 +33,6 @@ class BadParams(UalieError):
     """Builtin algebra parameters are invalid."""
 
 
-class NotADerivation(UalieError):
-    """A semidirect action matrix is not a derivation of the ideal."""
-
-
-class NotAHomomorphism(UalieError):
-    """A semidirect action does not respect the acting algebra's bracket."""
-
-
 class BadCharacteristic(UalieError):
     """Field characteristic unsupported by a construction."""
 

@@ -6,11 +6,6 @@ oracle the rest of the package is measured against: it enumerates every
 commutator-preserving bijection between two rings by backtracking, assigning
 images most-constrained-element-first and propagating forced images (if
 alpha(x) and alpha(y) are fixed then alpha([x,y]) has no choice).
-
-The search space is partitioned by the image of the first assigned element;
-partitions are explored independently (in ascending image order) and the
-counts merged, which keeps results deterministic and makes the partitions
-embarrassingly parallel if that is ever needed.
 """
 
 from __future__ import annotations
@@ -60,13 +55,13 @@ class FiniteLieRing:
                 return False
         return all(0 <= v < N for v in self.neg)
 
-    def validate(self, max_failures: int = 8) -> FiniteValidation:
+    def validate(self) -> FiniteValidation:
         """Exhaustive axiom check: abelian group, ℤ-bilinear alternating
         bracket, Jacobi.  O(N^3) table lookups."""
         fails: list = []
 
         def note(msg):
-            if len(fails) < max_failures:
+            if len(fails) < 8:
                 fails.append(msg)
 
         if not self.well_formed():
@@ -144,6 +139,8 @@ class FiniteLieRing:
             bracket = [[int(v) for v in row] for row in data["bracket"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidStructure(f"bad finite ring JSON: {exc}") from exc
+        if order < 1:
+            raise InvalidStructure(f"order must be at least 1, got {order}")
         neg = []
         for i in range(order):
             if i >= len(add) or len(add[i]) != order:
@@ -173,12 +170,11 @@ def index_vector(idx: int, p: int, dim: int):
     return [(idx // p**k) % p for k in range(dim)]
 
 
-def from_algebra(g, validate: bool | None = None) -> FiniteLieRing:
+def from_algebra(g) -> FiniteLieRing:
     """Expand a structure-constant algebra over F_p into full tables.
 
     Element i corresponds to the coordinate vector of its base-p digits.
-    Rings of order at most 64 are axiom-checked automatically; the check can
-    be forced or suppressed with ``validate``.
+    Rings of order at most 64 are axiom-checked automatically.
     """
     F = g.field
     if F.kind != "Fp":
@@ -194,9 +190,7 @@ def from_algebra(g, validate: bool | None = None) -> FiniteLieRing:
     bracket = [[vector_index(g.bracket(vecs[i], vecs[j]), p) for j in range(N)]
                for i in range(N)]
     ring = FiniteLieRing(f"{g.name}/F_{p}", N, add, neg, bracket)
-    if validate is None:
-        validate = N <= AUTO_VALIDATE_CAP
-    if validate:
+    if N <= AUTO_VALIDATE_CAP:
         rep = ring.validate()
         if not rep.ok:
             raise InvalidStructure(f"expanded tables fail axioms: {rep.failures[:2]}")

@@ -9,7 +9,6 @@ Elements are plain coordinate lists of raw scalars in the algebra's field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidStructure
@@ -24,17 +23,6 @@ class ValidationReport:
 
     def first_failure(self):
         return self.jacobi_failures[0] if self.jacobi_failures else None
-
-
-@dataclass
-class SeriesResult:
-    kind: str  # "derived" | "lower_central"
-    subspaces: list  # strictly decreasing chain, starts at the full algebra
-    reaches_zero: bool
-
-    @property
-    def dims(self):
-        return tuple(s.dim for s in self.subspaces)
 
 
 class StructureConstantAlgebra:
@@ -152,38 +140,6 @@ class StructureConstantAlgebra:
             self._derived = span_and_kernel(self.field, self.dim, rows)[0]
         return self._derived
 
-    def subspace_bracket(self, u: Subspace, v: Subspace) -> Subspace:
-        vecs = []
-        for i in range(u.dim):
-            ui = u.basis.row(i)
-            for j in range(v.dim):
-                vecs.append(self.bracket(ui, v.basis.row(j)))
-        return Subspace.from_spanning(self.field, self.dim, vecs)
-
-    def series(self, kind: str) -> SeriesResult:
-        if kind not in ("derived", "lower_central"):
-            raise ValueError("kind must be 'derived' or 'lower_central'")
-        full = Subspace.full(self.field, self.dim)
-        chain = [full]
-        cur = full
-        while cur.dim > 0:
-            nxt = (
-                self.subspace_bracket(cur, cur)
-                if kind == "derived"
-                else self.subspace_bracket(full, cur)
-            )
-            if nxt.dim == cur.dim:
-                break  # stabilized above zero
-            chain.append(nxt)
-            cur = nxt
-        return SeriesResult(kind, chain, cur.dim == 0)
-
-    def is_solvable(self) -> bool:
-        return self.series("derived").reaches_zero
-
-    def is_nilpotent(self) -> bool:
-        return self.series("lower_central").reaches_zero
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -251,18 +207,30 @@ class StructureConstantAlgebra:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StructureConstantAlgebra":
+        """Read the format `to_json_dict` writes; any other shape raises
+        `InvalidStructure` and a bad scalar string the field's `BadParams`."""
         try:
+            if not isinstance(obj["field"], dict):
+                raise TypeError("field must be an object")
             field = field_from_json(obj["field"])
             dim = int(obj["dim"])
             name = obj.get("name", "algebra")
             basis_names = obj.get("basis_names")
+            items = obj.get("brackets", [])
+            if not isinstance(items, list) or not isinstance(basis_names, (list, type(None))):
+                raise TypeError("brackets and basis_names must be lists")
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidStructure(f"malformed algebra file: {e}") from e
         brackets = {}
-        for item in obj.get("brackets", []):
+        for item in items:
             try:
                 i, j = int(item["i"]), int(item["j"])
                 coeffs = item["coeffs"]
+                if not isinstance(coeffs, dict) or not all(
+                    isinstance(s, str) for s in coeffs.values()
+                ):
+                    raise TypeError("coeffs must map basis indices to scalar strings")
+                row = {int(k): s for k, s in coeffs.items()}
             except (KeyError, TypeError, ValueError) as e:
                 raise InvalidStructure(f"malformed bracket entry: {e}") from e
             if i >= j:
@@ -271,22 +239,8 @@ class StructureConstantAlgebra:
                 )
             if (i, j) in brackets:
                 raise InvalidStructure(f"duplicate bracket entry for ({i},{j})")
-            brackets[(i, j)] = {int(k): field.parse(s) for k, s in coeffs.items()}
+            brackets[(i, j)] = {k: field.parse(s) for k, s in row.items()}
         return cls(name, field, dim, basis_names, brackets)
-
-    @classmethod
-    def load(cls, path) -> "StructureConstantAlgebra":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise InvalidStructure(f"not valid JSON: {e}") from e
-        return cls.from_json_dict(obj)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
     def __repr__(self):
         return f"<{self.name}: dim {self.dim} over {self.field!r}>"

@@ -4,8 +4,7 @@ Matrices store a field object plus a flat list of raw scalars in row-major
 order.  Everything reduces to one canonical reduced row echelon form with
 deterministic pivoting: columns are scanned left to right and the first row
 with a nonzero entry (top to bottom) becomes the pivot, so equal subspaces
-always canonicalize to equal bases.  Intended for the small dimensions this
-package works at (n <= ~30); no pivoting heuristics, no floats.
+always canonicalize to equal bases.  No pivoting heuristics, no floats.
 
 Over Q, tall matrices (the stacked adjoints behind the center, the brackets
 behind the derived subalgebra) take the certified route of
@@ -13,8 +12,8 @@ behind the derived subalgebra) take the certified route of
 fixed prime, a Fraction RREF of only those, and an exact integer check
 that every row annihilates the kernel found, with one full RREF as the
 fallback when the check fails.  Nullities go through `kernel_dim_fast`,
-whose integer kernels in `_kernels` carry a modular certificate of their
-own.
+which certifies over Q only, by the integer kernels in `_kernels` with a
+modular certificate of their own; over other fields it is `kernel`.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class Matrix:
             e[i * n + i] = field.one
         return cls(field, n, n, e)
 
-    @classmethod
-    def zero(cls, field, rows, cols):
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
-
     def at(self, r, c):
         return self.entries[r * self.cols + c]
 
@@ -71,62 +66,15 @@ class Matrix:
     def row_list(self):
         return [self.row(r) for r in range(self.rows)]
 
-    def copy(self):
-        return Matrix(self.field, self.rows, self.cols, list(self.entries))
-
-    def transpose(self):
-        e = [self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
-        return Matrix(self.field, self.cols, self.rows, e)
-
     def stack(self, other: "Matrix") -> "Matrix":
         require_same_field(self.field, other.field, "stacked matrices")
         if self.cols != other.cols:
             raise DimensionMismatch("stacking needs equal column counts")
         return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def mat_vec(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch("matrix-vector size mismatch")
-        F = self.field
-        out = []
-        for r in range(self.rows):
-            acc = F.zero
-            base = r * self.cols
-            for c in range(self.cols):
-                x = v[c]
-                if not F.is_zero(x):
-                    acc = F.add(acc, F.mul(self.entries[base + c], x))
-            out.append(acc)
-        return out
-
-    def mat_mul(self, other: "Matrix") -> "Matrix":
-        require_same_field(self.field, other.field, "multiplied matrices")
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product size mismatch")
-        F = self.field
-        out = [F.zero] * (self.rows * other.cols)
-        for r in range(self.rows):
-            for k in range(self.cols):
-                a = self.at(r, k)
-                if F.is_zero(a):
-                    continue
-                for c in range(other.cols):
-                    out[r * other.cols + c] = F.add(
-                        out[r * other.cols + c], F.mul(a, other.at(k, c))
-                    )
-        return Matrix(F, self.rows, other.cols, out)
-
     def is_zero_matrix(self) -> bool:
         F = self.field
         return all(F.is_zero(e) for e in self.entries)
-
-    def to_json(self):
-        F = self.field
-        return [[F.format(self.at(r, c)) for c in range(self.cols)] for r in range(self.rows)]
-
-    @classmethod
-    def from_json(cls, field, data):
-        return cls.from_rows(field, [[field.parse(s) for s in row] for row in data])
 
 
 def rref(m: Matrix):
@@ -240,9 +188,6 @@ class Subspace:
                 w = [F.sub(x, F.mul(f, y)) for x, y in zip(w, row)]
         return all(F.is_zero(x) for x in w)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the stacked constraint systems.
 
@@ -269,9 +214,6 @@ class Subspace:
             and self.basis.entries == other.basis.entries
             and self.basis.rows == other.basis.rows
         )
-
-    def to_json(self):
-        return self.basis.to_json()
 
 
 def integerized_entries(m: Matrix):
@@ -352,22 +294,12 @@ def span_and_kernel(field, n: int, rows: list):
 
 
 def kernel_dim_fast(m: Matrix) -> int:
-    """Exact nullity by the integer kernels in `_kernels`.
-
-    Over Q, the lifted modular certificate of `int_kernel_dim`; over F_p,
-    for every prime, cols minus the rank of one sparse RREF mod p
-    (`rref_mod_p`); over other fields, `kernel`.
-    """
+    """Exact nullity: over Q, the lifted modular certificate of
+    `_kernels.int_kernel_dim`; over every other field, `kernel`."""
     from . import _kernels
 
-    F = m.field
-    if F.kind == "Q":
-        ints = integerized_entries(m)
-        return _kernels.int_kernel_dim(ints, m.rows, m.cols)
-    if F.kind == "Fp":
-        rows = [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
-        basis, _ = _kernels.rref_mod_p(rows, m.cols, F.p)
-        return m.cols - len(basis)
+    if m.field.kind == "Q":
+        return _kernels.int_kernel_dim(integerized_entries(m), m.rows, m.cols)
     return kernel(m).dim
 
 

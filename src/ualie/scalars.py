@@ -220,29 +220,14 @@ def _poly_mul(a, b, p):
     return out
 
 
-def find_irreducible(p: int, n: int, cap: int = EXTENSION_ORDER_CAP):
-    """Lexicographically smallest monic irreducible of degree n over F_p.
-
-    Candidates are scanned in lexicographic order of the non-leading
-    coefficient tuple (constant term first).  Irreducibility is certified
-    by trial division against every monic polynomial of degree 1..n//2.
-    Returns the full coefficient tuple of length n+1 (leading 1 last).
-    """
-    if not _is_prime(p):
-        raise BadParams(f"{p} is not prime")
-    if n < 1:
-        raise BadParams("degree must be >= 1")
-    if p**n > cap:
-        raise CapExceeded(f"{p}^{n} exceeds the extension order cap {cap}")
-    divisors = []
-    for d in range(1, n // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisors.append(list(tail) + [1])
-    for tail in product(range(p), repeat=n):
-        cand = list(tail) + [1]
-        if all(_poly_rem(cand, div, p) for div in divisors):
-            return tuple(cand)
-    raise BadParams(f"no irreducible of degree {n} over F_{p}")  # unreachable
+def _is_irreducible(poly, p: int) -> bool:
+    """Whether a monic polynomial over F_p (constant term first) is irreducible,
+    by trial division against every monic polynomial of degree 1..deg//2."""
+    return all(
+        _poly_rem(poly, tail + (1,), p)
+        for d in range(1, (len(poly) - 1) // 2 + 1)
+        for tail in product(range(p), repeat=d)
+    )
 
 
 class ExtensionField:
@@ -250,24 +235,27 @@ class ExtensionField:
 
     Elements are length-n tuples of residues, constant term first.  When no
     modulus is passed the lex-smallest irreducible is chosen, so two fields
-    built from the same (p, n) are identical.
+    built from the same (p, n) are identical.  The candidates are scanned in
+    lexicographic order of the non-leading coefficients, constant term first.
     """
 
     kind = "Fq"
 
-    def __init__(self, p: int, n: int, modulus=None, cap: int = EXTENSION_ORDER_CAP):
+    def __init__(self, p: int, n: int, modulus=None):
         if not _is_prime(p):
             raise BadParams(f"{p} is not prime")
         if n < 2:
             raise BadParams("extension degree must be >= 2 (use PrimeField for n=1)")
-        if p**n > cap:
-            raise CapExceeded(f"{p}^{n} exceeds the extension order cap {cap}")
+        if p**n > EXTENSION_ORDER_CAP:
+            raise CapExceeded(f"{p}^{n} exceeds the extension order cap {EXTENSION_ORDER_CAP}")
         if modulus is None:
-            modulus = find_irreducible(p, n, cap)
+            modulus = next(
+                t + (1,) for t in product(range(p), repeat=n) if _is_irreducible(t + (1,), p)
+            )
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise BadParams("modulus must be monic of degree n, constant term first")
-        if any(_poly_rem(list(modulus), div, p) == [] for div in self._divisor_pool(p, n)):
+        if not _is_irreducible(modulus, p):
             raise BadParams("modulus is reducible")
         self.p = p
         self.n = n
@@ -285,12 +273,6 @@ class ExtensionField:
             lead = cur.pop()  # coefficient of x^n
             if lead:
                 cur = [(cur[i] + lead * self._red[0][i]) % p for i in range(n)]
-
-    @staticmethod
-    def _divisor_pool(p, n):
-        for d in range(1, n // 2 + 1):
-            for tail in product(range(p), repeat=d):
-                yield list(tail) + [1]
 
     def add(self, a, b):
         p = self.p

@@ -91,6 +91,44 @@ def test_validate_good_and_broken(capsys, gl2_file, broken_file):
     assert "Jacobi identity fails at basis triple" in err
 
 
+def _gl2_with(**changes):
+    data = build_catalog("gl", QQ, n=2).to_json_dict()
+    data.update(changes)
+    return data
+
+
+def _gl2_first_coeffs(coeffs):
+    data = _gl2_with()
+    data["brackets"][0]["coeffs"] = coeffs
+    return data
+
+
+MALFORMED_INPUTS = {
+    "coeffs-list": (_gl2_first_coeffs([1]), "algebra"),
+    "coeffs-bad-index": (_gl2_first_coeffs({"x": "1"}), "algebra"),
+    "coeffs-number": (_gl2_first_coeffs({"1": 1}), "algebra"),
+    "field-string": (_gl2_with(field="Q"), "algebra"),
+    "brackets-number": (_gl2_with(brackets=5), "algebra"),
+    "basis-names-number": (_gl2_with(basis_names=5), "algebra"),
+    "ring-order-0": ({"order": 0, "add": [], "bracket": []}, "ring"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
+    data, kind = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if kind == "algebra":
+        commands = (("validate", str(path)), ("analyze", str(path)))
+    else:
+        commands = (("finite", "wua", str(path)), ("finite", "against", str(path), str(path)))
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("input error:") and "Traceback" not in err, (argv, err)
+
+
 def test_catalog_list_sorted_with_examples(capsys):
     code, out, _ = run_cli(capsys, "catalog", "list")
     assert code == 0

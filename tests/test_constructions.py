@@ -1,4 +1,4 @@
-"""Builders: catalog families, seaweed subalgebras, sums and semidirect products."""
+"""Builders: catalog families, seaweed subalgebras and direct sums."""
 
 import random
 from fractions import Fraction
@@ -11,10 +11,8 @@ from ualie.constructions import (
     build_catalog,
     build_seaweed,
     direct_sum,
-    semidirect,
 )
-from ualie.errors import BadParams, FieldMismatch, NotADerivation, UnknownCatalogName
-from ualie.linalg import Matrix
+from ualie.errors import BadParams, FieldMismatch, UnknownCatalogName
 from ualie.scalars import QQ, PrimeField
 
 
@@ -142,27 +140,3 @@ def test_direct_sum_field_mismatch():
     with pytest.raises(FieldMismatch):
         direct_sum(build_catalog("sl", QQ, n=2), build_catalog("sl", PrimeField(5), n=2))
 
-
-def test_semidirect_with_scaling_action():
-    """One-dimensional algebra acting on abelian(2) by the identity derivation."""
-    l = build_catalog("abelian", QQ, d=1)
-    n_alg = build_catalog("abelian", QQ, d=2)
-    action = [Matrix.identity(QQ, 2)]
-    g = semidirect(l, n_alg, action)
-    assert g.dim == 3 and g.validate().ok
-    # [l, n-part] reproduces the action
-    x = [Fraction(1), Fraction(0), Fraction(0)]
-    v = [Fraction(0), Fraction(2), Fraction(3)]
-    assert g.bracket(x, v) == [Fraction(0), Fraction(2), Fraction(3)]
-    assert g.derived_subalgebra().dim == 2
-    assert g.center().dim == 0
-
-
-def test_semidirect_rejects_non_derivation():
-    sl2 = build_catalog("sl", QQ, n=2)
-    l = build_catalog("abelian", QQ, d=1)
-    bad = [Matrix.from_rows(QQ, [[Fraction(1), Fraction(0), Fraction(0)],
-                                 [Fraction(0), Fraction(0), Fraction(0)],
-                                 [Fraction(0), Fraction(0), Fraction(0)]])]
-    with pytest.raises(NotADerivation):
-        semidirect(l, sl2, bad)

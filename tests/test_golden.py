@@ -118,7 +118,8 @@ def _cli_validate_stdout(g, *flags):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            g.save("broken.json")
+            with open("broken.json", "w", encoding="utf-8") as fh:
+                json.dump(g.to_json_dict(), fh)
             code, stdout, _ = _cli(["validate", "broken.json", *flags])
         finally:
             os.chdir(cwd)

@@ -67,8 +67,10 @@ def test_ad_matrix_matches_bracket():
     g = sl2()
     for _ in range(30):
         x = rand_vec(rng, QQ, 3)
-        y = rand_vec(rng, QQ, 3)
-        assert vectors_equal(QQ, g.ad_matrix(x).mat_vec(y), g.bracket(x, y))
+        ad = g.ad_matrix(x)
+        for j in range(3):
+            column = [ad.at(k, j) for k in range(3)]
+            assert vectors_equal(QQ, column, g.bracket(x, g.basis_vector(j)))
 
 
 def test_center_and_derived_dims():
@@ -105,23 +107,6 @@ def test_mutual_centralizer_sl2():
     # C(e) = span{e}, C(f) = span{f}: they intersect trivially
     assert g.centralizer(e).dim == 1
     assert g.mutual_centralizer_dim(e, f) == 0
-
-
-def test_series_and_flags():
-    t3 = build_catalog("t", QQ, n=3)
-    assert t3.is_solvable() and not t3.is_nilpotent()
-    assert t3.series("derived").dims == (6, 3, 1, 0)
-    assert t3.series("derived").reaches_zero
-    assert not t3.series("lower_central").reaches_zero
-
-    n3 = build_catalog("n", QQ, n=3)
-    assert n3.is_nilpotent()
-    assert n3.series("lower_central").reaches_zero
-
-    assert not sl2().is_solvable()
-
-    e57 = build_catalog("example_5_7", QQ)
-    assert e57.is_solvable() and not e57.is_nilpotent()
 
 
 def test_validate_accepts_catalog_rejects_broken():
