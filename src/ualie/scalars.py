@@ -234,9 +234,9 @@ class ExtensionField:
     """F_{p^n} as F_p[x] modulo a monic irreducible of degree n.
 
     Elements are length-n tuples of residues, constant term first.  When no
-    modulus is passed the lex-smallest irreducible is chosen, so two fields
-    built from the same (p, n) are identical.  The candidates are scanned in
-    lexicographic order of the non-leading coefficients, constant term first.
+    modulus is passed the monic irreducible whose non-leading coefficients
+    (constant term first) are lex-smallest is chosen, so two fields built
+    from the same (p, n) are identical.
     """
 
     kind = "Fq"
