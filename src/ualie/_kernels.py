@@ -1,17 +1,18 @@
 """Exact integer and mod-p elimination kernels, in pure Python.
 
-One sparse reducer, `rref_mod_p`, serves every modular elimination, both
-over Q: the nullity certificate (`int_kernel_dim`) and the row selection of
-`linalg.span_and_kernel`.  Nullities over F_p do not come here.
+Every elimination over Q that can be certified goes through one function,
+`certified_kernel`: one sparse RREF mod ``WITNESS_PRIME`` (`rref_mod_p`),
+the kernel vector of each free column lifted to Z by rational
+reconstruction, and an exact integer check that every row annihilates
+every lifted vector.  It serves both the nullities (`int_kernel_dim`) and
+the canonical span and kernel of `linalg.span_and_kernel`.  Nullities over
+F_p do not come here.
 
-Two routes over Q, kept apart on purpose: `int_kernel_dim` carries the
-modular certificate, while `int_rank` is Bareiss alone, so a witness found
-through the modular route is re-verified by an independent one.  The
-certificate is one sparse RREF mod ``WITNESS_PRIME``.  Full column rank mod
-p proves a zero kernel; otherwise the kernel basis mod p is lifted to Q by
-rational reconstruction and checked to be an exact kernel with integer dot
-products, which pins the nullity; when a lift or a check fails, Bareiss
-decides.
+Two routes over Q, kept apart on purpose: the certificate finds witnesses,
+while `int_rank` is Bareiss alone, so a witness found through the modular
+route is re-verified by an independent one.  When a lift or the exact
+check fails, the caller falls back to an exact elimination (Bareiss for a
+nullity, a full RREF for a span).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import isqrt, lcm
 # There is one implementation; perfbench stamps this in its environment line.
 BACKEND = "pure"
 
-# Fixed witness prime for the modular certificates: rows independent mod p
+# Fixed witness prime for the modular certificate: rows independent mod p
 # are independent over Q for integer matrices (never a false accept).
 WITNESS_PRIME = 2**31 - 1
 
@@ -34,10 +35,10 @@ def int_rank(entries, rows: int, cols: int) -> int:
     """Exact rank over Z/Q of an integer matrix by fraction-free Bareiss elimination.
 
     There is deliberately no modular shortcut here: witness re-verification
-    relies on this routine sharing nothing with the modular certificate in
-    `int_kernel_dim` that found the witness.  Python's big integers keep
-    every intermediate exact, and Bareiss keeps them minor-sized (the
-    interior divisions are exact by construction).
+    relies on this routine sharing nothing with `certified_kernel`, which
+    found the witness.  Python's big integers keep every intermediate
+    exact, and Bareiss keeps them minor-sized (the interior divisions are
+    exact by construction).
     """
     m = [list(entries[r * cols : (r + 1) * cols]) for r in range(rows)]
     rank = 0
@@ -76,17 +77,15 @@ def _sub_scaled_mod(dst: dict, f: int, src: dict, p: int):
             dst.pop(j, None)
 
 
-def rref_mod_p(int_rows, n: int, p: int):
+def rref_mod_p(int_rows, n: int, p: int) -> dict:
     """Sparse RREF mod p of integer rows ``{column: int}`` with n columns.
 
-    Rows are taken greedily in order; returns ``(basis, chosen)``, where
-    ``basis`` maps each pivot column to its reduced row (pivot entry 1,
-    zero in every other pivot column) and ``chosen`` lists the indices of
-    the rows that were independent mod p.  Stops early at n pivots.
+    Rows are taken greedily in order.  Returns a map from each pivot column
+    to its reduced row (pivot entry 1, zero in every other pivot column).
+    Stops early at n pivots.
     """
     basis = {}
-    chosen = []
-    for idx, row in enumerate(int_rows):
+    for row in int_rows:
         v = {c: x % p for c, x in row.items() if x % p}
         for pc in [c for c in v if c in basis]:
             _sub_scaled_mod(v, v[pc], basis[pc], p)
@@ -100,10 +99,9 @@ def rref_mod_p(int_rows, n: int, p: int):
             if pc in b:
                 _sub_scaled_mod(b, b[pc], v, p)
         basis[pc] = v
-        chosen.append(idx)
-        if len(chosen) == n:
+        if len(basis) == n:
             break
-    return basis, chosen
+    return basis
 
 
 def _lift(x: int, p: int):
@@ -121,66 +119,59 @@ def _lift(x: int, p: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lifted_kernel_vector(basis: dict, free: int, p: int):
-    """The mod-p kernel vector of free column ``free``, lifted to Z, or None.
+def certified_kernel(int_rows, n: int):
+    """Pivot columns and an exact kernel basis of sparse integer rows, or None.
 
-    Mod p it is 1 at ``free``, minus the ``free`` entry of each pivot row
-    at that pivot, and 0 on every other free column.
+    Rows are ``{column: int}`` dicts with n columns.  One RREF mod the
+    witness prime gives pivots and, per free column f, a kernel vector mod
+    p: 1 at f, minus the f entry of each pivot row at that pivot, 0 on the
+    other free columns.  Each is lifted to Z by rational reconstruction
+    and checked to satisfy A v = 0 in exact integer arithmetic.  Then
+    rank_Q >= rank_p (rows independent mod p are independent over Q) and
+    the n - rank_p lifted vectors, independent through their free columns,
+    bound the nullity from below, so both are exact and the mod-p pivots
+    are the pivots of the RREF over Q.  Returns ``(pivots, kernel)`` with
+    ``pivots`` ascending and ``kernel`` mapping each free column f to its
+    integer vector ``{column: int}`` (v_f[f] > 0); full column rank mod p
+    needs no lift.  None when a lift or the check fails.
     """
-    fracs = {free: (1, 1)}
-    for pc, row in basis.items():
-        x = row.get(free)
-        if x:
-            nd = _lift(p - x, p)
-            if nd is None:
-                return None
-            fracs[pc] = nd
-    mult = lcm(*(d for _, d in fracs.values()))
-    return {c: num * (mult // den) for c, (num, den) in fracs.items()}
-
-
-def int_kernel_dim(entries, rows: int, cols: int) -> int:
-    """Exact nullity over Q of an integer matrix, by a lifted modular certificate.
-
-    One sparse RREF mod the witness prime gives rank_p and, per free
-    column, a kernel vector mod p.  Each is lifted to Z by rational
-    reconstruction and checked to satisfy A v = 0 in exact integer
-    arithmetic.  Since rank_Q >= rank_p, nullity_Q <= cols - rank_p; k =
-    cols - rank_p exact kernel vectors, independent because each is
-    nonzero only at its own free column among the free columns, give
-    nullity_Q >= k, so the nullity is exactly k.  Full column rank mod p
-    needs no lift.  When a lift or a check fails, Bareiss (`int_rank`)
-    decides exactly.
-    """
-    if cols == 0:
-        return 0
-    if not rows:
-        return cols
     p = WITNESS_PRIME
-    int_rows = []
-    for r in range(rows):
-        row = entries[r * cols : (r + 1) * cols]
-        int_rows.append({c: x for c, x in enumerate(row) if x})
-    basis, _ = rref_mod_p(int_rows, cols, p)
-    if len(basis) == cols:
-        return 0
-    columns = [[] for _ in range(cols)]  # columns[c] = [(row, entry)], nonzero only
-    for r, row in enumerate(int_rows):
-        for c, x in row.items():
-            columns[c].append((r, x))
-    for free in range(cols):
+    basis = rref_mod_p(int_rows, n, p)
+    kernel = {}
+    for free in range(n):
         if free in basis:
             continue
-        v = _lifted_kernel_vector(basis, free, p)
-        if v is None or any(_column_combination(columns, v).values()):
-            return cols - int_rank(entries, rows, cols)
-    return cols - len(basis)
+        fracs = {free: (1, 1)}
+        for pc, row in basis.items():
+            x = row.get(free)
+            if x:
+                nd = _lift(p - x, p)
+                if nd is None:
+                    return None
+                fracs[pc] = nd
+        mult = lcm(*(d for _, d in fracs.values()))
+        kernel[free] = {c: num * (mult // den) for c, (num, den) in fracs.items()}
+    if kernel:
+        columns = [[] for _ in range(n)]  # columns[c] = [(row, entry)], nonzero only
+        for r, row in enumerate(int_rows):
+            for c, x in row.items():
+                columns[c].append((r, x))
+        for v in kernel.values():
+            out = {}
+            for c, vc in v.items():
+                for r, x in columns[c]:
+                    out[r] = out.get(r, 0) + x * vc
+            if any(out.values()):
+                return None
+    return sorted(basis), kernel
 
 
-def _column_combination(columns, v: dict) -> dict:
-    """A v as sparse ``{row: entry}``, from the sparse columns of A."""
-    out = {}
-    for c, vc in v.items():
-        for r, x in columns[c]:
-            out[r] = out.get(r, 0) + x * vc
-    return out
+def int_kernel_dim(int_rows, n: int) -> int:
+    """Exact nullity over Q of sparse integer rows ``{column: int}`` with n
+    columns: the size of the `certified_kernel` basis, or, when the
+    certificate fails, n minus the Bareiss rank (`int_rank`)."""
+    cert = certified_kernel(int_rows, n)
+    if cert is not None:
+        return len(cert[1])
+    entries = [row.get(c, 0) for row in int_rows for c in range(n)]
+    return n - int_rank(entries, len(int_rows), n)

@@ -110,15 +110,6 @@ class CConditionResult:
         return {"a": _format_vec(field, self.witness[0]), "b": _format_vec(field, self.witness[1])}
 
 
-def _zero_column_mask(m: Matrix) -> int:
-    F = m.field
-    mask = 0
-    for c in range(m.cols):
-        if all(F.is_zero(m.entries[r * m.cols + c]) for r in range(m.rows)):
-            mask |= 1 << c
-    return mask
-
-
 def _verify_witness_exactly(g, a, b) -> bool:
     """Independent re-verification over Q that C(a) and C(b) meet only in zero.
 
@@ -155,43 +146,50 @@ def c_condition(
     if g.center().dim > 0:
         return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None, "nontrivial center")
 
-    ads = g.basis_ads()
-    masks = [_zero_column_mask(m) for m in ads]
+    full = (1 << n) - 1
 
-    def try_pair(a, b, ada, adb, mask_a, mask_b):
-        # a basis vector commuting with both elements forces a nonzero
-        # mutual centralizer, so such pairs are rejected without elimination
-        if mask_a & mask_b:
+    def adjoint(x):
+        # the sparse rows of ad(x) and the mask of its nonzero columns
+        rows = g.ad_rows(x)
+        mask = 0
+        for row in rows:
+            for c in row:
+                mask |= 1 << c
+        return rows, mask
+
+    def try_pair(a, b, ad_a, ad_b):
+        # a basis vector commuting with both elements (a column zero in
+        # both adjoints) forces a nonzero mutual centralizer, so such pairs
+        # are rejected without elimination
+        if ad_a[1] | ad_b[1] != full:
             return False
-        if kernel_dim_fast(ada.stack(adb)) != 0:
+        if kernel_dim_fast(F, n, ad_a[0] + ad_b[0]) != 0:
             return False
         if not _verify_witness_exactly(g, a, b):
             raise HypothesesNotMet("witness failed exact re-verification")
         return True
 
     basis = [g.basis_vector(i) for i in range(n)]
+    ads = [adjoint(e) for e in basis]
     for i in range(n):
         for j in range(i + 1, n):
-            if try_pair(basis[i], basis[j], ads[i], ads[j], masks[i], masks[j]):
+            if try_pair(basis[i], basis[j], ads[i], ads[j]):
                 return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None, None)
     sum_all = [F.one] * n
-    ad_sum = g.ad_matrix(sum_all)
-    mask_sum = _zero_column_mask(ad_sum)
+    ad_sum = adjoint(sum_all)
     for i in range(n):
-        if try_pair(basis[i], sum_all, ads[i], ad_sum, masks[i], mask_sum):
+        if try_pair(basis[i], sum_all, ads[i], ad_sum):
             return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None, None)
     sum_even = [F.one if i % 2 == 0 else F.zero for i in range(n)]
     sum_odd = [F.one if i % 2 == 1 else F.zero for i in range(n)]
-    ad_e, ad_o = g.ad_matrix(sum_even), g.ad_matrix(sum_odd)
-    if try_pair(sum_even, sum_odd, ad_e, ad_o, _zero_column_mask(ad_e), _zero_column_mask(ad_o)):
+    if try_pair(sum_even, sum_odd, adjoint(sum_even), adjoint(sum_odd)):
         return CConditionResult(OUTCOME_HOLDS, (sum_even, sum_odd), 0, None, None)
 
     rng = XorShift64Star(seed)
     for t in range(1, trials + 1):
         a = _random_vector(F, n, rng, bound)
         b = _random_vector(F, n, rng, bound)
-        ada, adb = g.ad_matrix(a), g.ad_matrix(b)
-        if try_pair(a, b, ada, adb, _zero_column_mask(ada), _zero_column_mask(adb)):
+        if try_pair(a, b, adjoint(a), adjoint(b)):
             return CConditionResult(OUTCOME_HOLDS, (a, b), t, None, None)
     bound_str = f"({n}/{2 * bound + 1})^{trials}"
     return CConditionResult(OUTCOME_PROBABLY_FAILS, None, trials, bound_str, None)

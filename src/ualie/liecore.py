@@ -102,9 +102,38 @@ class StructureConstantAlgebra:
         return Matrix(F, n, n, ents)
 
     def basis_ads(self):
+        """Sparse rows of each ad(e_i) from the structure constants, computed
+        once per algebra: ``basis_ads()[i]`` maps k to row k of ad(e_i),
+        ``{j: coefficient of e_k in [e_i, e_j]}``; zero rows are left out."""
         if self._basis_ads is None:
-            self._basis_ads = [self.ad_matrix(self.basis_vector(i)) for i in range(self.dim)]
+            F = self.field
+            ads = [{} for _ in range(self.dim)]
+            for (i, j), row in self.brackets.items():
+                for k, c in row.items():
+                    ads[i].setdefault(k, {})[j] = c
+                    ads[j].setdefault(k, {})[i] = F.neg(c)
+            self._basis_ads = ads
         return self._basis_ads
+
+    def ad_rows(self, x) -> list:
+        """The nonzero sparse rows of ad(x), as sum_i x_i ad(e_i)."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("element has wrong length")
+        F = self.field
+        rows = {}
+        for xi, ad in zip(x, self.basis_ads()):
+            if F.is_zero(xi):
+                continue
+            for k, row in ad.items():
+                acc = rows.setdefault(k, {})
+                for j, c in row.items():
+                    acc[j] = F.add(acc.get(j, F.zero), F.mul(xi, c))
+        out = []
+        for row in rows.values():
+            row = {j: c for j, c in row.items() if not F.is_zero(c)}
+            if row:
+                out.append(row)
+        return out
 
     def centralizer(self, x) -> Subspace:
         return kernel(self.ad_matrix(x))
@@ -112,24 +141,17 @@ class StructureConstantAlgebra:
     def center(self) -> Subspace:
         """Kernel of the stacked basis adjoints, computed once per algebra.
 
-        Row (i, k) of the stack is row k of ad(e_i): the coefficient of e_k
-        in [e_i, e_j] sits in column j.  The rows come straight from the
-        sparse structure constants; `span_and_kernel` certifies the result.
+        The rows are those of `basis_ads`; `span_and_kernel` certifies the
+        result.
         """
         if self._center is None:
-            F = self.field
-            rows = {}
-            for (i, j), row in self.brackets.items():
-                for k, c in row.items():
-                    rows.setdefault((i, k), {})[j] = c
-                    rows.setdefault((j, k), {})[i] = F.neg(c)
-            self._center = span_and_kernel(F, self.dim, list(rows.values()))[1]
+            rows = [row for ad in self.basis_ads() for row in ad.values()]
+            self._center = span_and_kernel(self.field, self.dim, rows)[1]
         return self._center
 
     def mutual_centralizer_dim(self, a, b) -> int:
         """dim (C(a) intersect C(b)) as the nullity of the stacked adjoints."""
-        stacked = self.ad_matrix(a).stack(self.ad_matrix(b))
-        return kernel_dim_fast(stacked)
+        return kernel_dim_fast(self.field, self.dim, self.ad_rows(a) + self.ad_rows(b))
 
     # -- derived structure --------------------------------------------------
 
@@ -149,8 +171,10 @@ class StructureConstantAlgebra:
         built per call; each triple sums [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]]
         + [e_k, [e_i, e_j]] straight from it into one sparse defect.  For
         each (j, k) the table's support names the i for which some term can
-        be nonzero; every other triple holds trivially and is skipped.
-        Failures are listed with (j, k) outer and i inner, i ascending.
+        be nonzero; every other triple holds trivially and is skipped.  A
+        central e_j (an empty table row) is skipped outright: each of the
+        three terms brackets with e_j, so its triples all hold.  Failures
+        are listed with (j, k) outer and i inner, i ascending.
         """
         F = self.field
         add, mul, zero = F.add, F.mul, F.zero
@@ -163,6 +187,8 @@ class StructureConstantAlgebra:
         failures = []
         for j in range(n):
             tj = table[j]
+            if not tj:
+                continue
             for k in range(j + 1, n):
                 tk = table[k]
                 row_jk = tj.get(k, empty)

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over any supported field.
+"""Exact linear algebra over any supported field.
 
 Matrices store a field object plus a flat list of raw scalars in row-major
 order.  Everything reduces to one canonical reduced row echelon form with
@@ -6,14 +6,13 @@ deterministic pivoting: columns are scanned left to right and the first row
 with a nonzero entry (top to bottom) becomes the pivot, so equal subspaces
 always canonicalize to equal bases.  No pivoting heuristics, no floats.
 
-Over Q, tall matrices (the stacked adjoints behind the center, the brackets
-behind the derived subalgebra) take the certified route of
-`span_and_kernel`: integer rows, a selection of rows independent mod a
-fixed prime, a Fraction RREF of only those, and an exact integer check
-that every row annihilates the kernel found, with one full RREF as the
-fallback when the check fails.  Nullities go through `kernel_dim_fast`,
-which certifies over Q only, by the integer kernels in `_kernels` with a
-modular certificate of their own; over other fields it is `kernel`.
+Over Q, the sparse row systems (the stacked adjoints behind the center and
+the C-condition, the brackets behind the derived subalgebra) take the one
+modular certificate of `_kernels.certified_kernel` on their integerized
+rows.  `span_and_kernel` reads the canonical RREF straight off its pivots
+and lifted kernel, with one full RREF as the fallback when the certificate
+fails; `kernel_dim_fast` counts the lifted kernel, with Bareiss as the
+fallback.  Over other fields both reduce the rows by one RREF.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from . import _kernels
 from .errors import AmbientMismatch, DimensionMismatch
 from .scalars import require_same_field
 
@@ -170,10 +170,6 @@ class Subspace:
     def full(cls, field, n):
         return cls(field, n, Matrix.identity(field, n))
 
-    @classmethod
-    def zero(cls, field, n):
-        return cls(field, n, Matrix(field, 0, n, []))
-
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector has wrong ambient dimension")
@@ -234,7 +230,11 @@ def integerized_entries(m: Matrix):
 
 
 def _integer_row(row: dict) -> dict:
-    """A sparse rational row scaled by the lcm of its denominators."""
+    """A sparse rational row scaled by the lcm of its denominators; a row of
+    ``int`` scalars is returned as it is (a copy per candidate pair of the
+    C-condition fragments memory)."""
+    if all(type(x) is int for x in row.values()):
+        return row
     mult = lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
 
@@ -246,61 +246,41 @@ def _reduce_span_and_kernel(field, n: int, rows: list):
     return _span_of_rref(r, pivots), _kernel_of_rref(r, pivots)
 
 
-def _certified_span_and_kernel(field, n: int, rows: list):
-    """The certified route over Q, or None when its exact check fails.
-
-    Rows independent mod the witness prime are independent over Q, so their
-    span sits inside the full row space; if every row annihilates their
-    kernel, the two spans (and kernels) are equal.
-    """
-    from ._kernels import WITNESS_PRIME, rref_mod_p
-
-    distinct = {}
-    for row in rows:
-        ints = _integer_row(row)
-        if ints:
-            distinct.setdefault(tuple(sorted(ints.items())), (row, ints))
-    candidates = list(distinct.values())
-    _, chosen = rref_mod_p([ints for _, ints in candidates], n, WITNESS_PRIME)
-    if len(chosen) == n:  # full column rank mod p, hence over Q
-        return Subspace.full(field, n), Subspace.zero(field, n)
-    span, ker = _reduce_span_and_kernel(field, n, [candidates[k][0] for k in chosen])
-    ker_ints = integerized_entries(ker.basis)
-    for v in range(ker.dim):
-        kv = ker_ints[v * n : (v + 1) * n]
-        for _, ints in candidates:
-            if sum(x * kv[c] for c, x in ints.items()):
-                return None
-    return span, ker
-
-
 def span_and_kernel(field, n: int, rows: list):
     """Row space and right kernel of the matrix with sparse rows ``rows``.
 
     Each row is a ``{column: scalar}`` dict over ``field`` with n columns;
-    both results are canonical Subspaces of F^n.  Over Q the certified route
-    runs first: integerize the rows, drop zero and duplicate rows, select
-    rows independent mod the witness prime (at most n), row-reduce only
-    those, and check by integer dot products that every row annihilates
-    the kernel found.  When that check fails, and over finite fields, one
-    RREF of all rows decides.  Canonical bases are unique, so both routes
-    return identical subspaces.
+    both results are canonical Subspaces of F^n.  Over Q the integerized
+    rows go through `_kernels.certified_kernel`: its pivots are those of
+    the RREF over Q, and row pc of that RREF is 1 at pc and -v_f[pc]/v_f[f]
+    at each free column f, from the lifted kernel vectors v_f.  When the
+    certificate fails, and over finite fields, one RREF of all rows
+    decides.  Canonical bases are unique, so both routes return identical
+    subspaces.
     """
     if field.kind == "Q":
-        res = _certified_span_and_kernel(field, n, rows)
-        if res is not None:
-            return res
+        cert = _kernels.certified_kernel([_integer_row(row) for row in rows], n)
+        if cert is not None:
+            pivots, ker = cert
+            ents = [field.zero] * (len(pivots) * n)
+            for i, pc in enumerate(pivots):
+                ents[i * n + pc] = field.one
+                for f, v in ker.items():
+                    if pc in v:
+                        ents[i * n + f] = field.div(-v[pc], v[f])
+            r = Matrix(field, len(pivots), n, ents)
+            return _span_of_rref(r, pivots), _kernel_of_rref(r, pivots)
     return _reduce_span_and_kernel(field, n, rows)
 
 
-def kernel_dim_fast(m: Matrix) -> int:
-    """Exact nullity: over Q, the lifted modular certificate of
-    `_kernels.int_kernel_dim`; over every other field, `kernel`."""
-    from . import _kernels
-
-    if m.field.kind == "Q":
-        return _kernels.int_kernel_dim(integerized_entries(m), m.rows, m.cols)
-    return kernel(m).dim
+def kernel_dim_fast(field, n: int, rows: list) -> int:
+    """Exact nullity of the matrix with sparse rows ``rows`` (as in
+    `span_and_kernel`): over Q, `_kernels.int_kernel_dim` of the
+    integerized rows, certified mod p with Bareiss as the fallback; over
+    every other field, one RREF."""
+    if field.kind == "Q":
+        return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n)
+    return _reduce_span_and_kernel(field, n, rows)[1].dim
 
 
 def vectors_equal(field, u, v) -> bool:

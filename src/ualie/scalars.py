@@ -246,7 +246,8 @@ class ExtensionField:
             raise BadParams(f"{p} is not prime")
         if n < 2:
             raise BadParams("extension degree must be >= 2 (use PrimeField for n=1)")
-        if p**n > EXTENSION_ORDER_CAP:
+        # p >= 2, so n >= bit_length(cap) gives p^n > cap before p**n is built
+        if n >= EXTENSION_ORDER_CAP.bit_length() or p**n > EXTENSION_ORDER_CAP:
             raise CapExceeded(f"{p}^{n} exceeds the extension order cap {EXTENSION_ORDER_CAP}")
         if modulus is None:
             modulus = next(

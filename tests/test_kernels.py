@@ -1,5 +1,5 @@
 """Integer kernels: Bareiss rank over Z, the sparse reducer mod p, and the
-lifted mod-p nullity certificate, which must agree with Bareiss and fall
+lifted mod-p certificate, whose nullities must agree with Bareiss and fall
 back to it."""
 
 import math
@@ -9,6 +9,12 @@ from fractions import Fraction
 from ualie import _kernels
 from ualie.linalg import Matrix, rank
 from ualie.scalars import QQ
+
+
+def _sparse(entries, rows, cols):
+    """Flat row-major integer entries as sparse rows ``{column: int}``."""
+    flat = [entries[r * cols : (r + 1) * cols] for r in range(rows)]
+    return [{c: x for c, x in enumerate(row) if x} for row in flat]
 
 
 def test_backend_reports_itself():
@@ -31,15 +37,15 @@ def test_int_rank_agrees_with_exact_rational_rank():
 def test_rank_mod_p_drops_on_bad_primes():
     # the integer matrix [[2]] has rank 1 over Q but rank 0 mod 2
     assert _kernels.int_rank([2], 1, 1) == 1
-    assert len(_kernels.rref_mod_p([{0: 2}], 1, 2)[0]) == 0
-    assert len(_kernels.rref_mod_p([{0: 2}], 1, 3)[0]) == 1
+    assert len(_kernels.rref_mod_p([{0: 2}], 1, 2)) == 0
+    assert len(_kernels.rref_mod_p([{0: 2}], 1, 3)) == 1
 
 
 def test_int_rank_is_exact_where_the_witness_prime_vanishes():
     p = _kernels.WITNESS_PRIME
-    assert len(_kernels.rref_mod_p([{0: p}, {1: p}], 2, p)[0]) == 0
+    assert len(_kernels.rref_mod_p([{0: p}, {1: p}], 2, p)) == 0
     assert _kernels.int_rank([p, 0, 0, p], 2, 2) == 2
-    assert _kernels.int_kernel_dim([p, 0, 0, p], 2, 2) == 0
+    assert _kernels.int_kernel_dim([{0: p}, {1: p}], 2) == 0
 
 
 def test_int_kernel_dim_complements_rank():
@@ -49,7 +55,7 @@ def test_int_kernel_dim_complements_rank():
         cols = rng.randint(1, 5)
         entries = [rng.randint(-4, 4) for _ in range(rows * cols)]
         r = _kernels.int_rank(entries, rows, cols)
-        assert _kernels.int_kernel_dim(entries, rows, cols) == cols - r
+        assert _kernels.int_kernel_dim(_sparse(entries, rows, cols), cols) == cols - r
 
 
 def _count_bareiss(monkeypatch):
@@ -83,7 +89,7 @@ def test_int_kernel_dim_certifies_rank_deficient_products(monkeypatch):
         cases.append((entries, rows, cols, cols - _kernels.int_rank(entries, rows, cols)))
     calls = _count_bareiss(monkeypatch)
     for entries, rows, cols, nullity in cases:
-        assert _kernels.int_kernel_dim(entries, rows, cols) == nullity >= 1
+        assert _kernels.int_kernel_dim(_sparse(entries, rows, cols), cols) == nullity >= 1
     assert calls == []  # every one is decided by the lifted certificate
 
 
@@ -94,23 +100,22 @@ def test_int_kernel_dim_falls_back_when_kernel_entries_do_not_lift(monkeypatch):
     bound = math.isqrt(_kernels.WITNESS_PRIME // 2)
     for _ in range(20):
         m1, m2 = rng.randint(bound + 1, 10**9), rng.randint(bound + 1, 10**9)
-        entries = [m1, -1, 0, 0, m2, -1]
         calls = _count_bareiss(monkeypatch)
-        assert _kernels.int_kernel_dim(entries, 2, 3) == 1
+        assert _kernels.int_kernel_dim([{0: m1, 1: -1}, {1: m2, 2: -1}], 3) == 1
         assert calls == [(2, 3)]
         monkeypatch.undo()
         # a random product with big entries: the answer still matches Bareiss
         cols = rng.randint(3, 6)
         entries = _product(rng, cols, cols - 1, cols, -(10**6), 10**6)
         r = _kernels.int_rank(entries, cols, cols)
-        assert _kernels.int_kernel_dim(entries, cols, cols) == cols - r
+        assert _kernels.int_kernel_dim(_sparse(entries, cols, cols), cols) == cols - r
 
 
 def test_int_kernel_dim_exact_check_rejects_a_lift_that_is_only_a_kernel_mod_p(monkeypatch):
     """[p, 0; 0, 1] mod p has kernel (1, 0), which lifts, but p * 1 != 0."""
     p = _kernels.WITNESS_PRIME
     calls = _count_bareiss(monkeypatch)
-    assert _kernels.int_kernel_dim([p, 0, 0, 1], 2, 2) == 0
+    assert _kernels.int_kernel_dim([{0: p}, {1: 1}], 2) == 0
     assert calls == [(2, 2)]
 
 
@@ -122,8 +127,8 @@ def test_c_condition_rejections_on_sl5_do_not_reach_bareiss(monkeypatch):
     nullities = []
     original = linalg.kernel_dim_fast
 
-    def spy_nullity(m):
-        nullities.append(original(m))
+    def spy_nullity(field, n, rows):
+        nullities.append(original(field, n, rows))
         return nullities[-1]
 
     monkeypatch.setattr(analysis, "kernel_dim_fast", spy_nullity)

@@ -1,9 +1,10 @@
 """Structure-constant algebras: brackets, adjoint maps, invariant subspaces."""
 
 import random
+import time
 from fractions import Fraction
 
-from ualie import linalg
+from ualie import _kernels
 from ualie._kernels import WITNESS_PRIME
 from ualie.constructions import CATALOG_EXAMPLES, build_catalog, direct_sum
 from ualie.liecore import StructureConstantAlgebra
@@ -130,6 +131,22 @@ def test_validate_accepts_catalog_rejects_broken():
     assert not vector_is_zero(QQ, defect)
 
 
+def test_validate_is_fast_on_a_large_algebra_with_few_brackets():
+    """Central basis vectors cost no (j, k) pairs: dim 5000 validates at once,
+    and a Jacobi failure among the last three basis vectors is still found."""
+    n = 5000
+    flat = StructureConstantAlgebra.from_json_dict({"field": {"kind": "Q"}, "dim": n})
+    a, b, c = n - 3, n - 2, n - 1
+    broken = StructureConstantAlgebra(
+        "broken", QQ, n, None, {(a, b): {c: 1}, (a, c): {c: 1}, (b, c): {a: 1}}
+    )
+    start = time.perf_counter()
+    assert flat.validate().ok
+    rep = broken.validate()
+    assert time.perf_counter() - start < 1.0
+    assert [(i, j, k) for i, j, k, _ in rep.jacobi_failures] == [(a, b, c)]
+
+
 def test_json_round_trip_preserves_structure():
     rng = random.Random(6)
     for g in (sl2(), build_catalog("heisenberg", PrimeField(3), k=1)):
@@ -144,25 +161,24 @@ def test_json_round_trip_preserves_structure():
 
 
 def _plain_center_and_derived(g):
-    """Today's reference: one RREF of all stacked adjoints / all brackets."""
-    ads = g.basis_ads()
-    stacked = ads[0]
-    for m in ads[1:]:
-        stacked = stacked.stack(m)
+    """Today's reference: one RREF of all stacked dense adjoints / all brackets."""
+    stacked = g.ad_matrix(g.basis_vector(0))
+    for i in range(1, g.dim):
+        stacked = stacked.stack(g.ad_matrix(g.basis_vector(i)))
     vecs = [[row.get(k, g.field.zero) for k in range(g.dim)] for row in g.brackets.values()]
     return kernel(stacked), Subspace.from_spanning(g.field, g.dim, vecs)
 
 
 def _certificate_outcomes(monkeypatch):
     outcomes = []
-    real = linalg._certified_span_and_kernel
+    real = _kernels.certified_kernel
 
     def spy(*args):
         res = real(*args)
         outcomes.append(res is not None)
         return res
 
-    monkeypatch.setattr(linalg, "_certified_span_and_kernel", spy)
+    monkeypatch.setattr(_kernels, "certified_kernel", spy)
     return outcomes
 
 

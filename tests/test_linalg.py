@@ -5,15 +5,19 @@ check structural identities (rank of the transposed matrix, kernel
 membership) that hold for every well-formed input.
 """
 
+import math
 import random
 from fractions import Fraction
 
+from ualie import _kernels
 from ualie.linalg import (
     Matrix,
     Subspace,
+    _reduce_span_and_kernel,
     kernel,
     rank,
     rref,
+    span_and_kernel,
     vec_add,
     vec_scale,
     vec_sub,
@@ -108,7 +112,7 @@ def test_subspace_membership_and_dim():
     assert S.contains(vec_sub(F, v1, vec_scale(F, Fraction(3), v2)))
     assert not S.contains(frac_rows([[0, 0, 1]])[0])
     assert Subspace.full(F, 3).dim == 3
-    assert Subspace.zero(F, 3).dim == 0
+    assert Subspace.from_spanning(F, 3, []).dim == 0
 
 
 def test_subspace_intersection_dims():
@@ -137,3 +141,67 @@ def test_subspace_equality_is_span_equality():
     assert Subspace.from_spanning(F, 2, [a]) == Subspace.from_spanning(F, 2, [b])
     assert Subspace.from_spanning(F, 2, [a]) != Subspace.full(F, 2)
 
+
+
+def _certificate_outcomes(monkeypatch):
+    outcomes = []
+    real = _kernels.certified_kernel
+
+    def spy(*args):
+        res = real(*args)
+        outcomes.append(res is not None)
+        return res
+
+    monkeypatch.setattr(_kernels, "certified_kernel", spy)
+    return outcomes
+
+
+def _sparse_rows(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _low_rank_rows(rng, m, n, inner):
+    """m x n rational rows B*C with inner dimension ``inner``, plus duplicate
+    and zero rows, shuffled."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    b = [[entry() for _ in range(inner)] for _ in range(m)]
+    c = [[entry() for _ in range(n)] for _ in range(inner)]
+    rows = [[QQ.add(0, sum(bt * ct[j] for bt, ct in zip(br, c))) for j in range(n)] for br in b]
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] + [[0] * n] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return _sparse_rows(rows)
+
+
+def test_certified_span_and_kernel_match_one_rref_on_sparse_rational_rows(monkeypatch):
+    rng = random.Random(5077)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        cases.append((n, _low_rank_rows(rng, rng.randint(1, 9), n, rng.randint(0, n))))
+    outcomes = _certificate_outcomes(monkeypatch)
+    for n, rows in cases:
+        assert span_and_kernel(QQ, n, rows) == _reduce_span_and_kernel(QQ, n, rows)
+    # small entries mostly lift; a dense rank-6 or -7 product can outgrow the
+    # lift bound and fall back, with the same answer
+    assert len(outcomes) == len(cases) and sum(outcomes) >= 50
+
+
+def test_span_and_kernel_fall_back_where_the_kernel_does_not_lift(monkeypatch):
+    """Kernel (1, M1, M1*M2, 0, ...) of [[M1, -1, 0, ...], [0, M2, -1, ...]]
+    has entries past sqrt(p/2), so the certificate fails and one RREF decides;
+    low-rank rows on the other columns ride along."""
+    rng = random.Random(6151)
+    bound = math.isqrt(_kernels.WITNESS_PRIME // 2)
+    outcomes = _certificate_outcomes(monkeypatch)
+    for _ in range(20):
+        n = rng.randint(3, 7)
+        m1, m2 = rng.randint(bound + 1, 10**9), rng.randint(bound + 1, 10**9)
+        rows = [{0: m1, 1: -1}, {1: m2, 2: -1}]
+        rows += [{c + 3: x for c, x in row.items()} for row in _low_rank_rows(rng, 4, n - 3, 1)]
+        rng.shuffle(rows)
+        span, ker = span_and_kernel(QQ, n, rows)
+        assert (span, ker) == _reduce_span_and_kernel(QQ, n, rows)
+        assert span.dim + ker.dim == n and ker.dim >= 1
+    assert outcomes == [False] * 20

@@ -1,11 +1,12 @@
 """Field arithmetic: exact rationals, prime fields, small extension fields."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from ualie.errors import BadParams, DivisionByZero
+from ualie.errors import BadParams, CapExceeded, DivisionByZero
 from ualie.scalars import QQ, ExtensionField, PrimeField, parse_field_flag
 
 
@@ -109,6 +110,16 @@ def test_extension_field_frobenius_is_additive():
     for a in els:
         for b in els:
             assert frob(F.add(a, b)) == F.add(frob(a), frob(b))
+
+
+def test_extension_field_refuses_a_huge_degree_at_once():
+    """p^n past the order cap is refused without building p**n."""
+    assert ExtensionField(2, 12).order == 4096  # at the cap: accepted
+    for p, n in ((2, 13), (3, 8), (3, 10**7)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=rf"^{p}\^{n} exceeds the extension order cap 4096$"):
+            ExtensionField(p, n)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_field_json_round_trip():
