@@ -1,12 +1,16 @@
 """Exact integer and mod-p elimination kernels, in pure Python.
 
-Every elimination over Q that can be certified goes through one function,
-`certified_kernel`: one sparse RREF mod ``WITNESS_PRIME`` (`rref_mod_p`),
-the kernel vector of each free column lifted to Z by rational
-reconstruction, and an exact integer check that every row annihilates
-every lifted vector.  It serves both the nullities (`int_kernel_dim`) and
-the canonical span and kernel of `linalg.span_and_kernel`.  Nullities over
-F_p do not come here.
+Every elimination over Q that can be certified runs on one sparse RREF mod
+``WITNESS_PRIME`` (`rref_mod_p`), the only mod-p reducer, and on kernel
+vectors read off it and lifted to Z by rational reconstruction
+(`_lifted_kernel`), each checked exactly against the integer rows.
+`certified_kernel` lifts and checks the vector of every free column, which
+gives the canonical span and kernel of `linalg.span_and_kernel`.
+`int_kernel_dim` only has to tell a trivial kernel from a nontrivial one:
+full rank mod p proves the first, and one lifted vector that passes the
+exact check proves the second.  Rows that several of its stacks share are
+reduced once and passed as a block, which each stack extends without
+writing to it.  Nullities over F_p do not come here.
 
 Two routes over Q, kept apart on purpose: the certificate finds witnesses,
 while `int_rank` is Bareiss alone, so a witness found through the modular
@@ -77,16 +81,28 @@ def _sub_scaled_mod(dst: dict, f: int, src: dict, p: int):
             dst.pop(j, None)
 
 
-def rref_mod_p(int_rows, n: int, p: int) -> dict:
+def rref_mod_p(int_rows, n: int, p: int, block=None) -> dict:
     """Sparse RREF mod p of integer rows ``{column: int}`` with n columns.
 
     Rows are taken greedily in order.  Returns a map from each pivot column
     to its reduced row (pivot entry 1, zero in every other pivot column).
     Stops early at n pivots.
+
+    ``block``, the result of an earlier call on rows that several systems
+    share, extends that echelon form instead of starting afresh: each row is
+    reduced against the block's pivots too, and only the new pivot rows are
+    returned, each zero in every block pivot column.  The block is read and
+    never written, so its rows keep their entries in the new pivot columns
+    (`_lifted_kernel` back-substitutes through them), and the early stop
+    counts the pivots of both.
     """
+    block = block or {}
     basis = {}
     for row in int_rows:
         v = {c: x % p for c, x in row.items() if x % p}
+        if block:
+            for pc in [c for c in v if c in block]:
+                _sub_scaled_mod(v, v[pc], block[pc], p)
         for pc in [c for c in v if c in basis]:
             _sub_scaled_mod(v, v[pc], basis[pc], p)
         if not v:
@@ -99,7 +115,7 @@ def rref_mod_p(int_rows, n: int, p: int) -> dict:
             if pc in b:
                 _sub_scaled_mod(b, b[pc], v, p)
         basis[pc] = v
-        if len(basis) == n:
+        if len(block) + len(basis) == n:
             break
     return basis
 
@@ -119,59 +135,111 @@ def _lift(x: int, p: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
+def _lifted_kernel(basis, n: int, block=None):
+    """Yield ``(f, v)`` for each free column f, ascending, of the echelon
+    form mod ``WITNESS_PRIME`` made of ``block`` and ``basis`` (see
+    `rref_mod_p`).
+
+    The kernel vector x of f is 1 at f and 0 at the other free columns.  A
+    new pivot e reads x_e = -basis[e][f]; a block pivot b, whose row still
+    meets the new pivots, reads x_b = -(block[b][f] + sum_e block[b][e] x_e).
+    Its entries are lifted to Z by rational reconstruction and cleared of
+    denominators, so v is an integer vector with v[f] > 0, or None where an
+    entry does not lift.  It is a kernel vector mod p only, until
+    `_annihilates` checks it against the integer rows.
+    """
+    p = WITNESS_PRIME
+    block = block or {}
+    for f in range(n):
+        if f in basis or f in block:
+            continue
+        x = {f: 1}
+        for e, row in basis.items():
+            y = row.get(f)
+            if y:
+                x[e] = p - y
+        xb = {}
+        for b, row in block.items():
+            y = sum(row[c] * xc for c, xc in x.items() if c in row) % p
+            if y:
+                xb[b] = p - y
+        x.update(xb)
+        fracs = {c: _lift(y, p) for c, y in x.items()}
+        if None in fracs.values():
+            yield f, None
+            continue
+        mult = lcm(*(d for _, d in fracs.values()))
+        yield f, {c: num * (mult // den) for c, (num, den) in fracs.items()}
+
+
+def _annihilates(int_rows, n: int, vectors) -> bool:
+    """Whether every integer row with n columns is orthogonal to every
+    vector, in exact arithmetic."""
+    columns = [[] for _ in range(n)]  # columns[c] = [(row, entry)], nonzero only
+    for r, row in enumerate(int_rows):
+        for c, x in row.items():
+            columns[c].append((r, x))
+    for v in vectors:
+        out = {}
+        for c, vc in v.items():
+            for r, x in columns[c]:
+                out[r] = out.get(r, 0) + x * vc
+        if any(out.values()):
+            return False
+    return True
+
+
 def certified_kernel(int_rows, n: int):
     """Pivot columns and an exact kernel basis of sparse integer rows, or None.
 
     Rows are ``{column: int}`` dicts with n columns.  One RREF mod the
-    witness prime gives pivots and, per free column f, a kernel vector mod
-    p: 1 at f, minus the f entry of each pivot row at that pivot, 0 on the
-    other free columns.  Each is lifted to Z by rational reconstruction
-    and checked to satisfy A v = 0 in exact integer arithmetic.  Then
-    rank_Q >= rank_p (rows independent mod p are independent over Q) and
-    the n - rank_p lifted vectors, independent through their free columns,
-    bound the nullity from below, so both are exact and the mod-p pivots
-    are the pivots of the RREF over Q.  Returns ``(pivots, kernel)`` with
-    ``pivots`` ascending and ``kernel`` mapping each free column f to its
-    integer vector ``{column: int}`` (v_f[f] > 0); full column rank mod p
-    needs no lift.  None when a lift or the check fails.
+    witness prime gives pivots and, per free column, a kernel vector mod p
+    that `_lifted_kernel` lifts to Z; each is checked to satisfy A v = 0 in
+    exact integer arithmetic.  Then rank_Q >= rank_p (rows independent mod
+    p are independent over Q) and the n - rank_p lifted vectors, independent
+    through their free columns, bound the nullity from below, so both are
+    exact and the mod-p pivots are the pivots of the RREF over Q.  Returns
+    ``(pivots, kernel)`` with ``pivots`` ascending and ``kernel`` mapping
+    each free column f to its integer vector ``{column: int}`` (v_f[f] > 0);
+    full column rank mod p needs no lift.  None when a lift or the check
+    fails.
     """
-    p = WITNESS_PRIME
-    basis = rref_mod_p(int_rows, n, p)
+    basis = rref_mod_p(int_rows, n, WITNESS_PRIME)
     kernel = {}
-    for free in range(n):
-        if free in basis:
-            continue
-        fracs = {free: (1, 1)}
-        for pc, row in basis.items():
-            x = row.get(free)
-            if x:
-                nd = _lift(p - x, p)
-                if nd is None:
-                    return None
-                fracs[pc] = nd
-        mult = lcm(*(d for _, d in fracs.values()))
-        kernel[free] = {c: num * (mult // den) for c, (num, den) in fracs.items()}
-    if kernel:
-        columns = [[] for _ in range(n)]  # columns[c] = [(row, entry)], nonzero only
-        for r, row in enumerate(int_rows):
-            for c, x in row.items():
-                columns[c].append((r, x))
-        for v in kernel.values():
-            out = {}
-            for c, vc in v.items():
-                for r, x in columns[c]:
-                    out[r] = out.get(r, 0) + x * vc
-            if any(out.values()):
-                return None
+    for free, v in _lifted_kernel(basis, n):
+        if v is None:
+            return None
+        kernel[free] = v
+    if kernel and not _annihilates(int_rows, n, kernel.values()):
+        return None
     return sorted(basis), kernel
 
 
-def int_kernel_dim(int_rows, n: int) -> int:
-    """Exact nullity over Q of sparse integer rows ``{column: int}`` with n
-    columns: the size of the `certified_kernel` basis, or, when the
-    certificate fails, n minus the Bareiss rank (`int_rank`)."""
-    cert = certified_kernel(int_rows, n)
-    if cert is not None:
-        return len(cert[1])
-    entries = [row.get(c, 0) for row in int_rows for c in range(n)]
-    return n - int_rank(entries, len(int_rows), n)
+def reduce_block(int_rows, n: int):
+    """Sparse integer rows that several `int_kernel_dim` stacks share, kept
+    with their RREF mod the witness prime, which is computed here once."""
+    return int_rows, rref_mod_p(int_rows, n, WITNESS_PRIME)
+
+
+def int_kernel_dim(int_rows, n: int, block=None) -> int:
+    """Zero exactly when the sparse integer rows ``{column: int}`` with n
+    columns, stacked on the rows of ``block``, have a trivial kernel over Q;
+    otherwise a positive number.
+
+    ``block`` comes from `reduce_block`.  Full rank mod the witness
+    prime proves nullity 0 (rank_Q >= rank_p).  Below it, the kernel vector
+    of the first free column alone is lifted, and checked exactly against
+    every row of the stack, the block's included: passing, it proves
+    nullity >= 1, and 1 is returned.  When the lift or the check fails, the
+    answer is n minus the Bareiss rank (`int_rank`) of the whole stack.
+    """
+    block_rows, block_rref = block or ((), {})
+    basis = rref_mod_p(int_rows, n, WITNESS_PRIME, block_rref)
+    if len(block_rref) + len(basis) == n:
+        return 0
+    rows = [*int_rows, *block_rows]
+    _, v = next(_lifted_kernel(basis, n, block_rref))
+    if v is not None and _annihilates(rows, n, [v]):
+        return 1
+    entries = [row.get(c, 0) for row in rows for c in range(n)]
+    return n - int_rank(entries, len(rows), n)

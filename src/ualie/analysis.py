@@ -39,6 +39,7 @@ from .linalg import (
     kernel,
     kernel_dim_fast,
     rank,
+    reduced_block,
     rref,
     vec_add,
     vec_scale,
@@ -134,10 +135,15 @@ def c_condition(
     i < j (the mutual centralizer is symmetric and (i, i) always fails),
     then each basis vector against the sum of all basis vectors, then the
     even-indexed sum against the odd-indexed sum; finally ``trials`` random
-    pairs with coordinates uniform in [-bound, bound].  A found witness is
-    re-verified through an independent exact route before being reported.
-    Any other field raises ``UnsupportedField``: the criterion needs
-    infinitely many scalars.
+    pairs with coordinates uniform in [-bound, bound].  Every candidate is
+    decided by `kernel_dim_fast`: full rank mod the witness prime accepts
+    it, and one lifted kernel vector checked exactly against every row (or
+    Bareiss, when that vector fails) rejects it.  The rows of ad(sum),
+    common to the second stage, are reduced mod p once (`reduced_block`),
+    and each candidate there extends that echelon form with the rows of
+    ad(e_i).  A found witness is re-verified through an independent exact
+    route before being reported.  Any other field raises
+    ``UnsupportedField``: the criterion needs infinitely many scalars.
     """
     F = g.field
     n = g.dim
@@ -157,13 +163,15 @@ def c_condition(
                 mask |= 1 << c
         return rows, mask
 
-    def try_pair(a, b, ad_a, ad_b):
+    def try_pair(a, b, ad_a, ad_b, block=None):
         # a basis vector commuting with both elements (a column zero in
         # both adjoints) forces a nonzero mutual centralizer, so such pairs
-        # are rejected without elimination
+        # are rejected without elimination; ``block``, when given, holds
+        # the rows of ad_b already reduced
         if ad_a[1] | ad_b[1] != full:
             return False
-        if kernel_dim_fast(F, n, ad_a[0] + ad_b[0]) != 0:
+        rows = ad_a[0] if block is not None else ad_a[0] + ad_b[0]
+        if kernel_dim_fast(F, n, rows, block) != 0:
             return False
         if not _verify_witness_exactly(g, a, b):
             raise HypothesesNotMet("witness failed exact re-verification")
@@ -177,8 +185,9 @@ def c_condition(
                 return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None, None)
     sum_all = [F.one] * n
     ad_sum = adjoint(sum_all)
+    block = reduced_block(F, n, ad_sum[0])
     for i in range(n):
-        if try_pair(basis[i], sum_all, ads[i], ad_sum):
+        if try_pair(basis[i], sum_all, ads[i], ad_sum, block):
             return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None, None)
     sum_even = [F.one if i % 2 == 0 else F.zero for i in range(n)]
     sum_odd = [F.one if i % 2 == 1 else F.zero for i in range(n)]

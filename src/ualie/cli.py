@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -52,11 +53,20 @@ class _InputError(Exception):
 
 
 def _emit(payload: dict, cfg: RunConfig):
-    if cfg.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in _text_lines(payload, ""):
-            print(line)
+    try:
+        if cfg.as_json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in _text_lines(payload, ""):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``): send the rest to devnull, so the
+        # flush at interpreter exit cannot fail again, and let the command
+        # return its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _text_lines(value, prefix):

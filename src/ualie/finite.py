@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     CapExceeded,
@@ -134,10 +135,12 @@ class FiniteLieRing:
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "ring") -> "FiniteLieRing":
         try:
-            order = int(data["order"])
-            add = [[int(v) for v in row] for row in data["add"]]
-            bracket = [[int(v) for v in row] for row in data["bracket"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            order = data["order"]
+            add = [list(row) for row in data["add"]]
+            bracket = [list(row) for row in data["bracket"]]
+            if any(type(v) is not int for v in chain([order], *add, *bracket)):
+                raise TypeError("order and table entries must be JSON integers")
+        except (KeyError, TypeError) as exc:
             raise InvalidStructure(f"bad finite ring JSON: {exc}") from exc
         if order < 1:
             raise InvalidStructure(f"order must be at least 1, got {order}")

@@ -150,7 +150,10 @@ class StructureConstantAlgebra:
         return self._center
 
     def mutual_centralizer_dim(self, a, b) -> int:
-        """dim (C(a) intersect C(b)) as the nullity of the stacked adjoints."""
+        """Zero exactly when C(a) and C(b) meet only in zero, otherwise
+        positive: `kernel_dim_fast` of the stacked adjoints.  Over Q a
+        positive value is proved exactly but need not be the dimension of
+        the intersection."""
         return kernel_dim_fast(self.field, self.dim, self.ad_rows(a) + self.ad_rows(b))
 
     # -- derived structure --------------------------------------------------
@@ -239,7 +242,9 @@ class StructureConstantAlgebra:
             if not isinstance(obj["field"], dict):
                 raise TypeError("field must be an object")
             field = field_from_json(obj["field"])
-            dim = int(obj["dim"])
+            dim = obj["dim"]
+            if type(dim) is not int:
+                raise TypeError(f"dim must be a JSON integer, got {dim!r}")
             name = obj.get("name", "algebra")
             basis_names = obj.get("basis_names")
             items = obj.get("brackets", [])
@@ -250,7 +255,9 @@ class StructureConstantAlgebra:
         brackets = {}
         for item in items:
             try:
-                i, j = int(item["i"]), int(item["j"])
+                i, j = item["i"], item["j"]
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError(f"i and j must be JSON integers, got {i!r} and {j!r}")
                 coeffs = item["coeffs"]
                 if not isinstance(coeffs, dict) or not all(
                     isinstance(s, str) for s in coeffs.values()

@@ -7,12 +7,15 @@ with a nonzero entry (top to bottom) becomes the pivot, so equal subspaces
 always canonicalize to equal bases.  No pivoting heuristics, no floats.
 
 Over Q, the sparse row systems (the stacked adjoints behind the center and
-the C-condition, the brackets behind the derived subalgebra) take the one
-modular certificate of `_kernels.certified_kernel` on their integerized
-rows.  `span_and_kernel` reads the canonical RREF straight off its pivots
-and lifted kernel, with one full RREF as the fallback when the certificate
-fails; `kernel_dim_fast` counts the lifted kernel, with Bareiss as the
-fallback.  Over other fields both reduce the rows by one RREF.
+the C-condition, the brackets behind the derived subalgebra) are certified
+by `_kernels` on their integerized rows.  `span_and_kernel` reads the
+canonical RREF straight off the pivots and the whole lifted kernel of
+`_kernels.certified_kernel`, with one full RREF as the fallback when the
+certificate fails.  `kernel_dim_fast` only tells a trivial kernel from a
+nontrivial one: full rank mod p proves the first, and one lifted kernel
+vector checked exactly proves the second, with Bareiss as the fallback.
+Rows that several of its stacks share (`reduced_block`) are reduced mod p
+once.  Over other fields both reduce the rows by one RREF.
 """
 
 from __future__ import annotations
@@ -273,13 +276,25 @@ def span_and_kernel(field, n: int, rows: list):
     return _reduce_span_and_kernel(field, n, rows)
 
 
-def kernel_dim_fast(field, n: int, rows: list) -> int:
-    """Exact nullity of the matrix with sparse rows ``rows`` (as in
-    `span_and_kernel`): over Q, `_kernels.int_kernel_dim` of the
-    integerized rows, certified mod p with Bareiss as the fallback; over
-    every other field, one RREF."""
+def reduced_block(field, n: int, rows: list):
+    """Sparse rows over Q that several `kernel_dim_fast` stacks share,
+    integerized and reduced mod the witness prime once
+    (`_kernels.reduce_block`)."""
+    return _kernels.reduce_block([_integer_row(row) for row in rows], n)
+
+
+def kernel_dim_fast(field, n: int, rows: list, block=None) -> int:
+    """Zero exactly when the matrix with sparse rows ``rows`` (as in
+    `span_and_kernel`), stacked on the rows of ``block`` (a `reduced_block`,
+    over Q only), has a trivial kernel; otherwise positive.
+
+    Over Q this is `_kernels.int_kernel_dim` of the integerized rows: a
+    positive value is proved exactly, by one lifted kernel vector or by
+    Bareiss, but it is the nullity only on the Bareiss route.  Over every
+    other field it is the nullity, from one RREF.
+    """
     if field.kind == "Q":
-        return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n)
+        return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n, block)
     return _reduce_span_and_kernel(field, n, rows)[1].dim
 
 

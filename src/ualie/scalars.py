@@ -9,12 +9,14 @@ Raw representations (no wrapper object per scalar):
 
 A field object carries the arithmetic; containers (matrices, algebras) hold
 the field once and store raw scalar values.  String forms follow one grammar
-everywhere: rationals as ``num/den`` (denominator omitted when 1), prime
-residues as decimal, extension elements as comma-joined coefficient lists.
+everywhere: rationals as ``num/den`` in decimal digits with an optional sign
+(denominator omitted when 1), prime residues as decimal, extension elements
+as comma-joined coefficient lists.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -98,8 +100,14 @@ class Rationals:
         return str(a)  # int or Fraction: num/den, den omitted when 1
 
     def parse(self, s: str):
+        # an optional sign, digits, and optionally "/" and digits: `Fraction`
+        # alone also takes decimals and exponents, and "1e20000000" would
+        # build a 20-million-digit integer
+        t = s.strip()
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", t):
+            raise BadParams(f"bad rational scalar {s!r}")
         try:
-            return _q(Fraction(s.strip()))
+            return _q(Fraction(t))
         except (ValueError, ZeroDivisionError) as e:
             raise BadParams(f"bad rational scalar {s!r}") from e
 

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -103,19 +105,46 @@ def _gl2_first_coeffs(coeffs):
     return data
 
 
+def _gl2_first_bracket(**changes):
+    data = _gl2_with()
+    data["brackets"][0].update(changes)
+    return data
+
+
+_Z2 = {"order": 2, "add": [[0, 1], [1, 0]], "bracket": [[0, 0], [0, 0]]}
+
+
+def _z2_with(**changes):
+    return {**_Z2, **changes}
+
+
 MALFORMED_INPUTS = {
     "coeffs-list": (_gl2_first_coeffs([1]), "algebra"),
     "coeffs-bad-index": (_gl2_first_coeffs({"x": "1"}), "algebra"),
     "coeffs-number": (_gl2_first_coeffs({"1": 1}), "algebra"),
+    "coeffs-decimal": (_gl2_first_coeffs({"1": "0.5"}), "algebra"),
+    "coeffs-exponent": (_gl2_first_coeffs({"1": "1e20000000"}), "algebra"),
     "field-string": (_gl2_with(field="Q"), "algebra"),
     "brackets-number": (_gl2_with(brackets=5), "algebra"),
     "basis-names-number": (_gl2_with(basis_names=5), "algebra"),
+    "dim-float": (_gl2_with(dim=4.7), "algebra"),
+    "dim-bool": ({"field": {"kind": "Q"}, "dim": True, "brackets": []}, "algebra"),
+    "dim-string": (_gl2_with(dim="4"), "algebra"),
+    "bracket-index-float": (_gl2_first_bracket(i=0.9, j=1.5), "algebra"),
+    "bracket-index-bool": (_gl2_first_bracket(i=False, j=True), "algebra"),
     "ring-order-0": ({"order": 0, "add": [], "bracket": []}, "ring"),
+    "ring-order-float": (_z2_with(order=2.5), "ring"),
+    "ring-order-bool": ({"order": True, "add": [[0]], "bracket": [[0]]}, "ring"),
+    "ring-add-float": (_z2_with(add=[[0, 1], [1, 0.5]]), "ring"),
+    "ring-bracket-bool": (_z2_with(bracket=[[False, 0], [0, 0]]), "ring"),
+    "ring-row-string": (_z2_with(add=["01", "10"]), "ring"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
+    """Each malformed file is refused with exit 1 and at once: every case
+    here exits 0 or runs for seconds if the loader coerces its value."""
     data, kind = MALFORMED_INPUTS[case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -124,9 +153,53 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
     else:
         commands = (("finite", "wua", str(path)), ("finite", "against", str(path), str(path)))
     for argv in commands:
+        start = time.perf_counter()
         code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
         assert err.startswith("input error:") and "Traceback" not in err, (argv, err)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises
+    `BrokenPipeError`.  Its descriptor is a file the test owns."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_ends_output_quietly_with_the_commands_exit_code(
+    capsys, monkeypatch, tmp_path, broken_file
+):
+    for argv, want in (
+        (("analyze", "--builtin", "sl", "--n", "2"), 0),
+        (("analyze", "--builtin", "sl", "--n", "2", "--text"), 0),
+        (("validate", broken_file), 1),
+    ):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            pipe = _ClosedPipe(fd)
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = cli.main(list(argv))
+            monkeypatch.undo()
+            # output stopped at the first failed write, and the descriptor
+            # now points at devnull, so the flush at exit cannot fail
+            assert (code, pipe.writes) == (want, 1), argv
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_catalog_list_sorted_with_examples(capsys):

@@ -48,6 +48,13 @@ def test_int_rank_is_exact_where_the_witness_prime_vanishes():
     assert _kernels.int_kernel_dim([{0: p}, {1: p}], 2) == 0
 
 
+def _certified_nullity(int_rows, cols):
+    """The exact nullity, from the full kernel of `certified_kernel`."""
+    pivots, kernel = _kernels.certified_kernel(int_rows, cols)
+    assert len(pivots) + len(kernel) == cols
+    return len(kernel)
+
+
 def test_int_kernel_dim_complements_rank():
     rng = random.Random(13)
     for _ in range(40):
@@ -55,7 +62,10 @@ def test_int_kernel_dim_complements_rank():
         cols = rng.randint(1, 5)
         entries = [rng.randint(-4, 4) for _ in range(rows * cols)]
         r = _kernels.int_rank(entries, rows, cols)
-        assert _kernels.int_kernel_dim(_sparse(entries, rows, cols), cols) == cols - r
+        sparse = _sparse(entries, rows, cols)
+        assert _certified_nullity(sparse, cols) == cols - r
+        k = _kernels.int_kernel_dim(sparse, cols)
+        assert (k == 0) == (r == cols) and k <= cols - r
 
 
 def _count_bareiss(monkeypatch):
@@ -89,7 +99,9 @@ def test_int_kernel_dim_certifies_rank_deficient_products(monkeypatch):
         cases.append((entries, rows, cols, cols - _kernels.int_rank(entries, rows, cols)))
     calls = _count_bareiss(monkeypatch)
     for entries, rows, cols, nullity in cases:
-        assert _kernels.int_kernel_dim(_sparse(entries, rows, cols), cols) == nullity >= 1
+        sparse = _sparse(entries, rows, cols)
+        assert _certified_nullity(sparse, cols) == nullity >= 1
+        assert _kernels.int_kernel_dim(sparse, cols) == 1  # one lifted vector
     assert calls == []  # every one is decided by the lifted certificate
 
 
@@ -108,7 +120,11 @@ def test_int_kernel_dim_falls_back_when_kernel_entries_do_not_lift(monkeypatch):
         cols = rng.randint(3, 6)
         entries = _product(rng, cols, cols - 1, cols, -(10**6), 10**6)
         r = _kernels.int_rank(entries, cols, cols)
-        assert _kernels.int_kernel_dim(_sparse(entries, cols, cols), cols) == cols - r
+        sparse = _sparse(entries, cols, cols)
+        cert = _kernels.certified_kernel(sparse, cols)
+        assert cert is None or len(cert[1]) == cols - r
+        k = _kernels.int_kernel_dim(sparse, cols)
+        assert (k == 0) == (r == cols) and k <= cols - r
 
 
 def test_int_kernel_dim_exact_check_rejects_a_lift_that_is_only_a_kernel_mod_p(monkeypatch):
@@ -127,8 +143,8 @@ def test_c_condition_rejections_on_sl5_do_not_reach_bareiss(monkeypatch):
     nullities = []
     original = linalg.kernel_dim_fast
 
-    def spy_nullity(field, n, rows):
-        nullities.append(original(field, n, rows))
+    def spy_nullity(field, n, rows, block=None):
+        nullities.append(original(field, n, rows, block))
         return nullities[-1]
 
     monkeypatch.setattr(analysis, "kernel_dim_fast", spy_nullity)
@@ -138,3 +154,107 @@ def test_c_condition_rejections_on_sl5_do_not_reach_bareiss(monkeypatch):
     rejected = [k for k in nullities if k > 0]
     assert len(rejected) >= 10 and nullities[-1] == 0
     assert calls == [(2 * g.dim, g.dim)]  # only the witness re-verification
+
+
+def _sparse_rows(rng, count, cols):
+    """Seeded sparse integer rows: 1 to 3 small entries each, and about a
+    third of them integer combinations of two earlier rows."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.35:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in sorted(set(a) | set(b))}
+        else:
+            support = rng.sample(range(cols), rng.randint(1, min(3, cols)))
+            row = {c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in sorted(support)}
+        rows.append({c: x for c, x in row.items() if x})
+    return rows
+
+
+def test_a_reduced_block_extends_to_the_rref_of_all_rows(monkeypatch):
+    """Rows split into a block, reduced once, and an extension reduced
+    against it give the pivots and the lifted kernel vectors of one
+    `rref_mod_p` over all rows, and leave the block as it was.  Some blocks
+    carry a row that vanishes mod p but not over Q, which only the exact
+    check against the block rows can see.  Every rejection by one lifted
+    vector agrees with Bareiss."""
+    p = _kernels.WITNESS_PRIME
+    rng = random.Random(7717)
+    one_vector = fallbacks = 0
+    for _ in range(150):
+        cols = rng.randint(1, 9)
+        rows = _sparse_rows(rng, rng.randint(0, cols + 2), cols)
+        cut = rng.randint(0, len(rows))
+        block_rows, new_rows = rows[:cut], rows[cut:]
+        if rng.random() < 0.3:
+            block_rows.append({c: p * x for c, x in _sparse_rows(rng, 1, cols)[0].items()})
+        block = _kernels.reduce_block(block_rows, cols)[1]
+        before = {pc: dict(row) for pc, row in block.items()}
+        ext = _kernels.rref_mod_p(new_rows, cols, p, block)
+        assert block == before
+        full = _kernels.rref_mod_p(block_rows + new_rows, cols, p)
+        assert not set(block) & set(ext) and set(block) | set(ext) == set(full)
+        assert list(_kernels._lifted_kernel(ext, cols, block)) == list(
+            _kernels._lifted_kernel(full, cols)
+        )
+
+        stack = new_rows + block_rows
+        entries = [row.get(c, 0) for row in stack for c in range(cols)]
+        nullity = cols - _kernels.int_rank(entries, len(stack), cols)
+        calls = _count_bareiss(monkeypatch)
+        k = _kernels.int_kernel_dim(new_rows, cols, _kernels.reduce_block(block_rows, cols))
+        monkeypatch.undo()
+        assert (k > 0) == (nullity > 0)
+        if k > 0 and not calls:
+            one_vector += 1
+        fallbacks += len(calls)
+    assert one_vector >= 90 and fallbacks >= 10
+
+
+def test_the_exact_check_reads_the_block_rows():
+    """The block [p, 0] vanishes mod p, so the extension [0, 1] leaves
+    (1, 0) as a kernel vector mod p; p * 1 != 0 over Z, and Bareiss finds
+    rank 2."""
+    p = _kernels.WITNESS_PRIME
+    block_rows, block = _kernels.reduce_block([{0: p}], 2)
+    assert block == {}
+    ext = _kernels.rref_mod_p([{1: 1}], 2, p, block)
+    assert list(_kernels._lifted_kernel(ext, 2, block)) == [(0, {0: 1})]
+    assert _kernels.int_kernel_dim([{1: 1}], 2, (block_rows, block)) == 0
+
+
+def test_c_condition_reduces_the_stage_2_block_once_on_sl7(monkeypatch):
+    """sl(7) rejects all 48 candidates e_i against the sum of the basis.
+    The rows of ad(sum) are reduced mod p once; each candidate extends that
+    one block and lifts a single kernel vector, and only the witness
+    (found by the even/odd stage) reaches Bareiss."""
+    from ualie import analysis
+    from ualie.constructions import build_catalog
+
+    g = build_catalog("sl", QQ, n=7)
+    reductions, lifts = [], []
+    rref, lifted = _kernels.rref_mod_p, _kernels._lifted_kernel
+
+    def spy_rref(int_rows, n, p, block=None):
+        out = rref(int_rows, n, p, block)
+        reductions.append((block, out))
+        return out
+
+    def spy_lifted(basis, n, block=None):
+        lifts.append([block, 0])
+        for item in lifted(basis, n, block):
+            lifts[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(_kernels, "rref_mod_p", spy_rref)
+    monkeypatch.setattr(_kernels, "_lifted_kernel", spy_lifted)
+    calls = _count_bareiss(monkeypatch)
+    res = analysis.c_condition(g)
+    assert res.outcome == analysis.OUTCOME_HOLDS
+    assert res.witness[0] == [1 - i % 2 for i in range(g.dim)]
+    blocks = [block for block, _ in reductions if block]
+    assert len(blocks) == 48 and all(block is blocks[0] for block in blocks)
+    assert sum(out is blocks[0] for _, out in reductions) == 1
+    assert [drawn for block, drawn in lifts if block] == [1] * 48
+    assert calls == [(2 * g.dim, g.dim)]

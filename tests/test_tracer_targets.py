@@ -20,3 +20,13 @@ def test_every_traced_callable_resolves(monkeypatch):
     for layer, privates in tracer.PRIVATE.items():
         for attr in privates:
             assert f"{layer.lstrip('_')}.{attr}" in names
+
+
+def test_kernel_dim_fast_is_bound_where_the_tracer_wraps_it():
+    """The tracer must find `kernel_dim_fast` under the same object in
+    each namespace it patches; a module that stops importing it, or binds
+    a different function, loses its calls from the trace."""
+    from ualie import analysis, linalg, liecore
+
+    for mod in (linalg, liecore, analysis):
+        assert getattr(mod, "kernel_dim_fast", None) is linalg.kernel_dim_fast, mod.__name__
