@@ -22,7 +22,6 @@ non-additive embedding witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels, finite
@@ -97,13 +96,14 @@ def _format_vec(field, v):
 # C-condition
 
 
-@dataclass
 class CConditionResult:
-    outcome: str
-    witness: tuple | None  # (a, b) coordinate lists
-    trials_run: int
-    failure_bound: str | None  # e.g. "(9/2049)^64"
-    certificate: str | None
+    def __init__(self, outcome: str, witness: tuple | None, trials_run: int,
+                 failure_bound: str | None, certificate: str | None):
+        self.outcome = outcome
+        self.witness = witness  # (a, b) coordinate lists
+        self.trials_run = trials_run
+        self.failure_bound = failure_bound  # e.g. "(9/2049)^64"
+        self.certificate = certificate
 
     def witness_json(self, field):
         if self.witness is None:
@@ -208,11 +208,11 @@ def c_condition(
 # the nine-dimensional refutation family
 
 
-@dataclass
 class RefutationReport:
-    samples: int
-    center_dim: int
-    failures: list  # [(index, reason)]
+    def __init__(self, samples: int, center_dim: int, failures: list):
+        self.samples = samples
+        self.center_dim = center_dim
+        self.failures = failures  # [(index, reason)]
 
     @property
     def all_ok(self) -> bool:
@@ -275,13 +275,14 @@ def refutation_witness(g: StructureConstantAlgebra, A, B):
 # negative criterion
 
 
-@dataclass
 class BijectionDescription:
-    kind: str  # "swap_pair"
-    swap: tuple  # (u, v) coordinate lists
-    obligations: list  # [(text, bool)]
-    nonadditivity: dict  # {"c": vec, "left": vec, "right": vec}
-    verified: bool
+    def __init__(self, kind: str, swap: tuple, obligations: list, nonadditivity: dict,
+                 verified: bool):
+        self.kind = kind  # "swap_pair"
+        self.swap = swap  # (u, v) coordinate lists
+        self.obligations = obligations  # [(text, bool)]
+        self.nonadditivity = nonadditivity  # {"c": vec, "left": vec, "right": vec}
+        self.verified = verified
 
     def to_json_dict(self, field):
         return {
@@ -300,10 +301,10 @@ class BijectionDescription:
         }
 
 
-@dataclass
 class NegativeCriterionResult:
-    case: int  # 1, 2, or 3
-    description: BijectionDescription
+    def __init__(self, case: int, description: BijectionDescription):
+        self.case = case  # 1, 2, or 3
+        self.description = description
 
 
 def _cardinality(field, dim):
@@ -429,12 +430,12 @@ def _swap_obligations(g, derived, u, v):
 # seaweed ampleness
 
 
-@dataclass
 class AmpleResult:
-    ample: bool
-    span_dim: int
-    components: int
-    root_count: int
+    def __init__(self, ample: bool, span_dim: int, components: int, root_count: int):
+        self.ample = ample
+        self.span_dim = span_dim
+        self.components = components
+        self.root_count = root_count
 
 
 def check_ample(roots, n: int) -> AmpleResult:
@@ -473,14 +474,15 @@ def check_ample(roots, n: int) -> AmpleResult:
 # central extension injection
 
 
-@dataclass
 class InjectionResult:
-    extended: StructureConstantAlgebra
-    functional: list  # row vector phi with phi(derived) = 0, phi(x1) = 1
-    x1: list
-    witness_pair: tuple  # (w1, w2) in g with beta(w1+w2) != beta(w1)+beta(w2)
-    checked_pairs: int
-    obligations: list  # [(text, bool)]
+    def __init__(self, extended: StructureConstantAlgebra, functional: list, x1: list,
+                 witness_pair: tuple, checked_pairs: int, obligations: list):
+        self.extended = extended
+        self.functional = functional  # row vector phi with phi(derived) = 0, phi(x1) = 1
+        self.x1 = x1
+        self.witness_pair = witness_pair  # (w1, w2) in g with beta(w1+w2) != beta(w1)+beta(w2)
+        self.checked_pairs = checked_pairs
+        self.obligations = obligations  # [(text, bool)]
 
     @property
     def all_ok(self) -> bool:
@@ -619,21 +621,24 @@ def _first_dual_row(P: Matrix):
 # top-level verdicts
 
 
-@dataclass
 class VerdictReport:
-    algebra: str
-    field: dict
-    dim: int
-    center_dim: int
-    derived_codim: int
-    verdict: str
-    rule: str
-    witness: dict | None
-    bijection: dict | None
-    confidence: dict | None
-    seed: int
-    open_problem_note: str | None
-    seaweed: dict | None = None
+    def __init__(self, algebra: str, field: dict, dim: int, center_dim: int,
+                 derived_codim: int, verdict: str, rule: str, witness: dict | None,
+                 bijection: dict | None, confidence: dict | None, seed: int,
+                 open_problem_note: str | None, seaweed: dict | None = None):
+        self.algebra = algebra
+        self.field = field
+        self.dim = dim
+        self.center_dim = center_dim
+        self.derived_codim = derived_codim
+        self.verdict = verdict
+        self.rule = rule
+        self.witness = witness
+        self.bijection = bijection
+        self.confidence = confidence
+        self.seed = seed
+        self.open_problem_note = open_problem_note
+        self.seaweed = seaweed
 
     def to_json_dict(self):
         out = {

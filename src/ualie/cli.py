@@ -13,35 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, constructions, finite
 from .errors import UalieError
 from .liecore import StructureConstantAlgebra
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, MASK64
 from .scalars import parse_field_flag
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    trials: int
-    bound: int
-    samples: int
-    as_json: bool
-
-
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        seed=args.seed,
-        trials=args.trials,
-        bound=args.B,
-        samples=args.samples,
-        as_json=not args.text,
-    )
-    if cfg.trials < 1 or cfg.bound < 1 or cfg.samples < 1:
-        raise _Usage("--trials, --B and --samples must be at least 1")
-    return cfg
 
 
 class _Usage(Exception):
@@ -52,9 +29,9 @@ class _InputError(Exception):
     pass
 
 
-def _emit(payload: dict, cfg: RunConfig):
+def _emit(payload: dict, args):
     try:
-        if cfg.as_json:
+        if not args.text:
             print(json.dumps(payload, indent=2))
         else:
             for line in _text_lines(payload, ""):
@@ -160,7 +137,7 @@ def _load_ring(source: str) -> finite.FiniteLieRing:
 # subcommands
 
 
-def _cmd_validate(args, cfg: RunConfig) -> int:
+def _cmd_validate(args) -> int:
     g = _load_algebra(args.file)
     rep = g.validate()
     payload = {
@@ -178,26 +155,26 @@ def _cmd_validate(args, cfg: RunConfig) -> int:
             "basis": [g.basis_names[i], g.basis_names[j], g.basis_names[k]],
             "defect": [g.field.format(c) for c in defect],
         }
-        _emit(payload, cfg)
+        _emit(payload, args)
         print(
             f"Jacobi identity fails at basis triple "
             f"({g.basis_names[i]}, {g.basis_names[j]}, {g.basis_names[k]})",
             file=sys.stderr,
         )
         return 1
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def _cmd_analyze(args, cfg: RunConfig) -> int:
+def _cmd_analyze(args) -> int:
     field = parse_field_flag(args.field)
     g = _resolve_algebra(args, field)
     rep = g.validate()
     if not rep.ok:
         i, j, k, _ = rep.first_failure()
         raise _InputError(f"Jacobi identity fails at basis triple ({i},{j},{k})")
-    report = analysis.verdict(g, trials=cfg.trials, seed=cfg.seed, bound=cfg.bound)
-    _emit(report.to_json_dict(), cfg)
+    report = analysis.verdict(g, trials=args.trials, seed=args.seed, bound=args.B)
+    _emit(report.to_json_dict(), args)
     return 0
 
 
@@ -209,23 +186,21 @@ def _parse_composition(text: str):
     return parts
 
 
-def _cmd_seaweed(args, cfg: RunConfig) -> int:
+def _cmd_seaweed(args) -> int:
     field = parse_field_flag(args.field)
     top = _parse_composition(args.top)
     bottom = _parse_composition(args.bottom)
     try:
         spec = constructions.SeaweedSpec(args.n, top, bottom)
-        report = analysis.seaweed_verdict(spec, field, trials=cfg.trials,
-                                          seed=cfg.seed, bound=cfg.bound)
+        report = analysis.seaweed_verdict(spec, field, trials=args.trials,
+                                          seed=args.seed, bound=args.B)
     except UalieError as exc:
         raise _InputError(str(exc)) from exc
-    _emit(report.to_json_dict(), cfg)
+    _emit(report.to_json_dict(), args)
     return 0
 
 
-def _cmd_catalog(args, cfg: RunConfig) -> int:
-    if args.action != "list":
-        raise _Usage("catalog supports: list")
+def _cmd_catalog(args) -> int:
     entries = []
     for name in sorted(constructions.CATALOG):
         _, params = constructions.CATALOG[name]
@@ -234,11 +209,11 @@ def _cmd_catalog(args, cfg: RunConfig) -> int:
             "params": list(params),
             "example": constructions.CATALOG_EXAMPLES.get(name, {}),
         })
-    _emit({"catalog": entries}, cfg)
+    _emit({"catalog": entries}, args)
     return 0
 
 
-def _cmd_finite(args, cfg: RunConfig) -> int:
+def _cmd_finite(args) -> int:
     if args.mode == "wua":
         ring = _load_ring(args.ring)
         wua, counterexample = finite.is_wua(ring)
@@ -248,7 +223,7 @@ def _cmd_finite(args, cfg: RunConfig) -> int:
             "wua": wua,
             "counterexample": counterexample,
         }
-        _emit(payload, cfg)
+        _emit(payload, args)
         return 0
     if args.mode == "against":
         r = _load_ring(args.ring)
@@ -264,11 +239,9 @@ def _cmd_finite(args, cfg: RunConfig) -> int:
                      if not ok else
                      "no counterexample against this target; proves nothing global"),
         }
-        _emit(payload, cfg)
+        _emit(payload, args)
         return 0
     if args.mode == "field":
-        if args.p is None or args.fn is None:
-            raise _Usage("finite field needs --p and --n")
         try:
             rep = finite.semigroup_aut_report(args.p, args.fn)
         except UalieError as exc:
@@ -283,12 +256,12 @@ def _cmd_finite(args, cfg: RunConfig) -> int:
             "additive_count": rep.additive_count,
             "nonadditive": rep.nonadditive,
         }
-        _emit(payload, cfg)
+        _emit(payload, args)
         return 0
     raise _Usage("finite supports: wua, against, field")
 
 
-def _cmd_counterexample(args, cfg: RunConfig) -> int:
+def _cmd_counterexample(args) -> int:
     field = parse_field_flag(args.field)
     g = _resolve_algebra(args, field)
     rep = g.validate()
@@ -315,12 +288,12 @@ def _cmd_counterexample(args, cfg: RunConfig) -> int:
                 "bijection": res.description.to_json_dict(g.field),
                 "note": None,
             }
-        _emit(payload, cfg)
+        _emit(payload, args)
         return 0
     if args.kind == "injection":
         try:
             res = analysis.central_extension_injection(
-                g, samples=cfg.samples, seed=cfg.seed, bound=cfg.bound)
+                g, samples=args.samples, seed=args.seed, bound=args.B)
         except UalieError as exc:
             raise _InputError(str(exc)) from exc
         F = g.field
@@ -335,13 +308,23 @@ def _cmd_counterexample(args, cfg: RunConfig) -> int:
             "obligations": [{"check": t, "ok": ok} for t, ok in res.obligations],
             "all_ok": res.all_ok,
         }
-        _emit(payload, cfg)
+        _emit(payload, args)
         return 0
     raise _Usage("counterexample supports: negcrit, injection")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= value <= MASK64:
+        raise argparse.ArgumentTypeError(f"seed {text} is outside [0, 2**64)")
+    return value
 
 
 def _add_run_flags(parser, suppress: bool):
@@ -355,7 +338,7 @@ def _add_run_flags(parser, suppress: bool):
     def dflt(v):
         return sup if suppress else v
 
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=dflt(DEFAULT_SEED),
+    parser.add_argument("--seed", type=_seed, default=dflt(DEFAULT_SEED),
                         help="64-bit master seed (default 0x5EED5EED5EED5EED)")
     parser.add_argument("--trials", type=int, default=dflt(analysis.DEFAULT_TRIALS),
                         help="random trials for probabilistic searches")
@@ -447,8 +430,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        return _COMMANDS[args.command](args, cfg)
+        if args.trials < 1 or args.B < 1 or args.samples < 1:
+            raise _Usage("--trials, --B and --samples must be at least 1")
+        return _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

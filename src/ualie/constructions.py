@@ -17,8 +17,6 @@ from matrix commutators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadCharacteristic, BadParams, InvalidStructure, UnknownCatalogName
 from .liecore import StructureConstantAlgebra
 from .scalars import require_same_field
@@ -66,15 +64,11 @@ def included_roots(n: int, top, bottom) -> frozenset:
     return frozenset(roots)
 
 
-@dataclass(frozen=True)
 class SeaweedSpec:
-    n: int
-    top: tuple
-    bottom: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "top", validate_composition(self.n, self.top))
-        object.__setattr__(self, "bottom", validate_composition(self.n, self.bottom))
+    def __init__(self, n: int, top: tuple, bottom: tuple):
+        self.n = n
+        self.top = validate_composition(n, top)
+        self.bottom = validate_composition(n, bottom)
 
     def roots(self) -> frozenset:
         return included_roots(self.n, self.top, self.bottom)

@@ -11,7 +11,6 @@ alpha(x) and alpha(y) are fixed then alpha([x,y]) has no choice).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
@@ -28,21 +27,21 @@ AUTO_VALIDATE_CAP = 64
 SEMIGROUP_CAP = 512
 
 
-@dataclass
 class FiniteValidation:
-    ok: bool
-    failures: list  # up to 8 human-readable failure strings
+    def __init__(self, ok: bool, failures: list):
+        self.ok = ok
+        self.failures = failures  # up to 8 human-readable failure strings
 
 
-@dataclass
 class FiniteLieRing:
     """A Lie ring given by full tables on elements 0..N-1 (0 is the zero)."""
 
-    name: str
-    order: int
-    add: list  # N x N
-    neg: list  # N
-    bracket: list  # N x N
+    def __init__(self, name: str, order: int, add: list, neg: list, bracket: list):
+        self.name = name
+        self.order = order
+        self.add = add  # N x N
+        self.neg = neg  # N
+        self.bracket = bracket  # N x N
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
@@ -399,13 +398,14 @@ def ua_against(r: FiniteLieRing, s: FiniteLieRing):
 # the constructive swap on tables
 
 
-@dataclass
 class FiniteNegativeReport:
-    case: int
-    table: list  # the permutation
-    obligations: list  # [(text, bool)]
-    witness: dict  # {"c":..., "lhs":..., "rhs":...}
-    commutator_scan_ok: bool
+    def __init__(self, case: int, table: list, obligations: list, witness: dict,
+                 commutator_scan_ok: bool):
+        self.case = case
+        self.table = table  # the permutation
+        self.obligations = obligations  # [(text, bool)]
+        self.witness = witness  # {"c":..., "lhs":..., "rhs":...}
+        self.commutator_scan_ok = commutator_scan_ok
 
 
 def negative_bijection_finite(r: FiniteLieRing) -> FiniteNegativeReport:
@@ -487,16 +487,17 @@ def _finite_swap_obligations(r: FiniteLieRing, derived, u, v):
 # multiplicative semigroup automorphisms of F_q
 
 
-@dataclass
 class SemigroupAutReport:
-    q: int
-    p: int
-    n: int
-    brute_count: int
-    phi_q_minus_1: int
-    field_aut_count: int
-    additive_count: int
-    nonadditive: dict | None  # {"k":..., "pair":[a,b], "lhs":..., "rhs":...}
+    def __init__(self, q: int, p: int, n: int, brute_count: int, phi_q_minus_1: int,
+                 field_aut_count: int, additive_count: int, nonadditive: dict | None):
+        self.q = q
+        self.p = p
+        self.n = n
+        self.brute_count = brute_count
+        self.phi_q_minus_1 = phi_q_minus_1
+        self.field_aut_count = field_aut_count
+        self.additive_count = additive_count
+        self.nonadditive = nonadditive  # {"k":..., "pair":[a,b], "lhs":..., "rhs":...}
 
 
 def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:

@@ -9,17 +9,15 @@ Elements are plain coordinate lists of raw scalars in the algebra's field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import Matrix, Subspace, kernel, kernel_dim_fast, span_and_kernel
 from .scalars import field_from_json
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    jacobi_failures: list  # [(i, j, k, defect coordinate list)]
+    def __init__(self, ok: bool, jacobi_failures: list):
+        self.ok = ok
+        self.jacobi_failures = jacobi_failures  # [(i, j, k, defect coordinate list)]
 
     def first_failure(self):
         return self.jacobi_failures[0] if self.jacobi_failures else None

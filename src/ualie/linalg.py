@@ -20,7 +20,6 @@ once.  Over other fields both reduce the rows by one RREF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from . import _kernels
@@ -28,19 +27,16 @@ from .errors import AmbientMismatch, DimensionMismatch
 from .scalars import require_same_field
 
 
-@dataclass
 class Matrix:
-    field: object
-    rows: int
-    cols: int
-    entries: list  # flat, row-major, raw scalars
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, field, rows: int, cols: int, entries: list):
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries,"
-                f" got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries  # flat, row-major, raw scalars
 
     @classmethod
     def from_rows(cls, field, rows_data):
@@ -148,13 +144,13 @@ def _span_of_rref(r: Matrix, pivots) -> "Subspace":
     return Subspace(r.field, r.cols, basis)
 
 
-@dataclass
 class Subspace:
     """Subspace of F^n held as a canonical RREF basis (rows of ``basis``)."""
 
-    field: object
-    ambient_dim: int
-    basis: Matrix  # dim x ambient_dim, canonical RREF, no zero rows
+    def __init__(self, field, ambient_dim: int, basis: Matrix):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.basis = basis  # dim x ambient_dim, canonical RREF, no zero rows
 
     @property
     def dim(self) -> int:

@@ -1,16 +1,20 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from ualie import cli
 from ualie.constructions import build_catalog
 from ualie.scalars import QQ
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -346,6 +350,22 @@ def test_reports_are_byte_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("seed", ["-1", "0x10000000000000000", str(2**128 + 1), "seven"],
+                         ids=["negative", "2**64", "2**128+1", "not-a-number"])
+def test_seed_outside_64_bits_is_a_usage_error(capsys, seed):
+    # a masked seed would run as another seed than the report prints
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "s2", "--seed", seed)
+    assert (code, out) == (2, "")
+    assert "--seed" in err
+
+
+def test_seed_range_ends_are_accepted(capsys):
+    for seed in ("0", str(2**64 - 1), "0xFFFFFFFFFFFFFFFF"):
+        code, out, _ = run_cli(capsys, "analyze", "--builtin", "s2", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["seed"] == int(seed, 0)
+
+
 def test_unknown_command_exits_2(capsys):
     assert run_cli(capsys, "nosuchcmd")[0] == 2
 
@@ -360,3 +380,23 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     d = json.loads(proc.stdout)
     assert d["verdict"] == "UA" and d["algebra"] == "s2"
+
+
+def test_import_loads_every_layer_but_not_dataclasses(monkeypatch):
+    """Every command runs in a fresh interpreter, so what ``import ualie.cli``
+    loads is paid on each one.  ``dataclasses`` (with the ``inspect``, ``ast``,
+    ``dis`` and ``tokenize`` it imports, and the methods it generates by
+    ``exec``) cost about 20 ms of a ~140 ms command whose own work is under
+    5 ms (Python 3.11, 2-vCPU VM).  The layers stay eager: the benchmark
+    tracer lists the ``ualie`` namespaces before it imports the layers, so a
+    layer imported later gets no spans, and the benchmark's CLI witness check
+    reads ``ualie.constructions`` and ``ualie.scalars`` from ``sys.modules``."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("tracer").LAYERS
+    probe = ("import sys; bare = set(sys.modules); import ualie.cli; "
+             "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    added = set(proc.stdout.split())
+    assert "dataclasses" not in added
+    assert {f"ualie.{layer}" for layer in layers} <= added
