@@ -16,7 +16,7 @@ Two routes over Q, kept apart on purpose: the certificate finds witnesses,
 while `int_rank` is Bareiss alone, so a witness found through the modular
 route is re-verified by an independent one.  When a lift or the exact
 check fails, the caller falls back to an exact elimination (Bareiss for a
-nullity, a full RREF for a span).
+nullity, `linalg`'s sparse RREF over Q for a span and kernel).
 """
 
 from __future__ import annotations

@@ -33,13 +33,10 @@ from .errors import (
 )
 from .liecore import StructureConstantAlgebra
 from .linalg import (
-    Matrix,
     integerized_entries,
-    kernel,
     kernel_dim_fast,
-    rank,
     reduced_block,
-    rref,
+    span_and_kernel,
     vec_add,
     vec_scale,
     vec_sub,
@@ -118,8 +115,8 @@ def _verify_witness_exactly(g, a, b) -> bool:
     Bareiss elimination (`_kernels.int_rank`), which shares no step with the
     modular certificate that found the pair.
     """
-    m = g.ad_matrix(a).stack(g.ad_matrix(b))
-    return _kernels.int_rank(integerized_entries(m), m.rows, m.cols) == g.dim
+    rows = g.ad_matrix(a) + g.ad_matrix(b)
+    return _kernels.int_rank(integerized_entries(rows), len(rows), g.dim) == g.dim
 
 
 def c_condition(
@@ -257,11 +254,11 @@ def refutation_witness(g: StructureConstantAlgebra, A, B):
     """The commuting element D for two members of the example_5_7 family."""
     F = g.field
     rows = [
-        [A[7], A[8], F.neg(A[0])],
-        [B[7], B[8], F.neg(B[0])],
+        {0: A[7], 1: A[8], 2: F.neg(A[0])},
+        {0: B[7], 1: B[8], 2: F.neg(B[0])},
     ]
-    ker = kernel(Matrix.from_rows(F, rows))
-    uvw = ker.basis.row(0) if ker.dim else None
+    ker = span_and_kernel(F, 3, rows)[1]
+    uvw = ker.vector(0) if ker.dim else None
     if uvw is None:  # cannot happen: 2 equations in 3 unknowns
         raise HypothesesNotMet("no nonzero solution for the commuting element")
     u, v, w = uvw
@@ -362,22 +359,22 @@ def negative_criterion(g: StructureConstantAlgebra):
             v = vec_scale(F, F.from_int(2), u)
         obligations = [
             ("all commutators vanish (commutative ring)", not g.brackets),
-            ("ad(u) = 0", g.ad_matrix(u).is_zero_matrix()),
-            ("ad(v) = 0", g.ad_matrix(v).is_zero_matrix()),
+            ("ad(u) = 0", not g.ad_rows(u)),
+            ("ad(v) = 0", not g.ad_rows(v)),
             ("u, v distinct and nonzero",
              not vector_is_zero(F, u) and not vector_is_zero(F, v) and not vectors_equal(F, u, v)),
         ]
     elif zder.dim == 0:
         case = 2
-        a = derived.basis.row(0)
-        z1 = center.basis.row(0)
-        z2 = center.basis.row(1) if center.dim >= 2 else vec_scale(F, F.from_int(2), z1)
+        a = derived.vector(0)
+        z1 = center.vector(0)
+        z2 = center.vector(1) if center.dim >= 2 else vec_scale(F, F.from_int(2), z1)
         u = vec_add(F, a, z1)
         v = vec_add(F, a, z2)
         obligations = _swap_obligations(g, derived, u, v)
     else:
         case = 3
-        z = zder.basis.row(0)
+        z = zder.vector(0)
         a = None
         for k in range(g.dim):
             cand = g.basis_vector(k)
@@ -415,8 +412,7 @@ def negative_criterion(g: StructureConstantAlgebra):
 
 def _swap_obligations(g, derived, u, v):
     F = g.field
-    ad_u, ad_v = g.ad_matrix(u), g.ad_matrix(v)
-    same_ad = all(F.is_zero(F.sub(a, b)) for a, b in zip(ad_u.entries, ad_v.entries))
+    same_ad = not g.ad_rows(vec_sub(F, u, v))  # ad is linear
     return [
         ("u outside the derived subalgebra (commutator values are fixed)", not derived.contains(u)),
         ("v outside the derived subalgebra (commutator values are fixed)", not derived.contains(v)),
@@ -523,22 +519,13 @@ def central_extension_injection(
         raise PerfectAlgebra("every element is a sum of commutators; no functional kills [g,g] only")
 
     n = g.dim
-    rows = [derived.basis.row(i) for i in range(derived.dim)]
-    comp = []
-    cur = list(rows)
-    cur_rank = derived.dim
-    for k in range(n):
-        cand = g.basis_vector(k)
-        test = cur + [cand]
-        if rank(Matrix.from_rows(F, test)) > cur_rank:
-            comp.append(cand)
-            cur = test
-            cur_rank += 1
-    adapted = comp + rows  # complement first: coordinate 1 spots the x1 part
-    P = Matrix.from_rows(F, adapted)
-    x1 = comp[0]
-    # phi = first row of (P^T)^{-1}: phi(adapted[0]) = 1, phi(others) = 0
-    phi = _first_dual_row(P)
+    comp = derived.completion()
+    x1 = g.basis_vector(comp[0])
+    # phi(x1) = 1 and phi kills [g, g] and the other completion vectors:
+    # n - 1 independent conditions, so phi spans a kernel of dimension one
+    rows = [*derived.rows.values(), *({k: F.one} for k in comp[1:])]
+    phi = span_and_kernel(F, n, rows)[1].vector(0)
+    phi = vec_scale(F, F.inv(phi[comp[0]]), phi)
 
     obligations = []
     kills = all(
@@ -596,25 +583,6 @@ def _sparse_dot(F, u, row):
     for k, c in row.items():
         acc = F.add(acc, F.mul(u[k], c))
     return acc
-
-
-def _first_dual_row(P: Matrix):
-    """Row vector phi with phi . row_i(P) = (1 if i == 0 else 0).
-
-    The conditions say P phi^T = e_0, so phi is the first column of P^{-1},
-    read off the augmented reduction [P | I] -> [I | P^{-1}].
-    """
-    F = P.field
-    n = P.rows
-    ent = [F.zero] * (n * 2 * n)
-    for r in range(n):
-        for c in range(n):
-            ent[r * 2 * n + c] = P.at(r, c)
-        ent[r * 2 * n + n + r] = F.one
-    R, pivots = rref(Matrix(F, n, 2 * n, ent))
-    if pivots != list(range(n)):
-        raise HypothesesNotMet("adapted basis failed to invert")
-    return [R.at(r, n) for r in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ class AmbientMismatch(UalieError):
 
 
 class DimensionMismatch(UalieError):
-    """Matrix or vector shapes are incompatible."""
+    """An element or a list of basis names has the wrong length."""
 
 
 class UnknownCatalogName(UalieError):

@@ -10,7 +10,7 @@ Elements are plain coordinate lists of raw scalars in the algebra's field.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import Matrix, Subspace, kernel, kernel_dim_fast, span_and_kernel
+from .linalg import Subspace, kernel_dim_fast, span_and_kernel
 from .scalars import field_from_json
 
 
@@ -82,22 +82,24 @@ class StructureConstantAlgebra:
 
     # -- adjoint operators and centralizers --------------------------------
 
-    def ad_matrix(self, x) -> Matrix:
-        """Matrix of y -> [x, y] in the basis (column j is [x, e_j])."""
+    def ad_matrix(self, x) -> list:
+        """Dense rows of the matrix of y -> [x, y] in the basis: entry (k, j)
+        is the coefficient of e_k in [x, e_j].  Built straight from the
+        brackets, for the independent re-verification of a witness."""
         if len(x) != self.dim:
             raise DimensionMismatch("element has wrong length")
         F = self.field
         n = self.dim
-        ents = [F.zero] * (n * n)
+        rows = [[F.zero] * n for _ in range(n)]
         for (i, j), row in self.brackets.items():
             xi, xj = x[i], x[j]
             if not F.is_zero(xi):
                 for k, s in row.items():
-                    ents[k * n + j] = F.add(ents[k * n + j], F.mul(xi, s))
+                    rows[k][j] = F.add(rows[k][j], F.mul(xi, s))
             if not F.is_zero(xj):
                 for k, s in row.items():
-                    ents[k * n + i] = F.sub(ents[k * n + i], F.mul(xj, s))
-        return Matrix(F, n, n, ents)
+                    rows[k][i] = F.sub(rows[k][i], F.mul(xj, s))
+        return rows
 
     def basis_ads(self):
         """Sparse rows of each ad(e_i) from the structure constants, computed
@@ -134,7 +136,8 @@ class StructureConstantAlgebra:
         return out
 
     def centralizer(self, x) -> Subspace:
-        return kernel(self.ad_matrix(x))
+        """C(x), the kernel of the sparse rows of ad(x)."""
+        return span_and_kernel(self.field, self.dim, self.ad_rows(x))[1]
 
     def center(self) -> Subspace:
         """Kernel of the stacked basis adjoints, computed once per algebra.
@@ -244,10 +247,14 @@ class StructureConstantAlgebra:
             if type(dim) is not int:
                 raise TypeError(f"dim must be a JSON integer, got {dim!r}")
             name = obj.get("name", "algebra")
+            if not isinstance(name, str):
+                raise TypeError(f"name must be a JSON string, got {name!r}")
             basis_names = obj.get("basis_names")
             items = obj.get("brackets", [])
             if not isinstance(items, list) or not isinstance(basis_names, (list, type(None))):
                 raise TypeError("brackets and basis_names must be lists")
+            if basis_names is not None and not all(isinstance(s, str) for s in basis_names):
+                raise TypeError("basis_names must be JSON strings")
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidStructure(f"malformed algebra file: {e}") from e
         brackets = {}

@@ -1,229 +1,189 @@
-"""Exact linear algebra over any supported field.
+"""Exact linear algebra over any supported field, on sparse rows.
 
-Matrices store a field object plus a flat list of raw scalars in row-major
-order.  Everything reduces to one canonical reduced row echelon form with
-deterministic pivoting: columns are scanned left to right and the first row
-with a nonzero entry (top to bottom) becomes the pivot, so equal subspaces
-always canonicalize to equal bases.  No pivoting heuristics, no floats.
+A row is a ``{column: scalar}`` dict over a field, zeros left out.  A
+subspace of F^n is held as its canonical reduced row echelon form: one row
+per pivot column, pivots ascending, each row 1 at its pivot and 0 in every
+other pivot column.  Canonical bases are unique, so equal subspaces always
+have equal rows.  No pivoting heuristics, no floats.
 
 Over Q, the sparse row systems (the stacked adjoints behind the center and
 the C-condition, the brackets behind the derived subalgebra) are certified
 by `_kernels` on their integerized rows.  `span_and_kernel` reads the
 canonical RREF straight off the pivots and the whole lifted kernel of
-`_kernels.certified_kernel`, with one full RREF as the fallback when the
-certificate fails.  `kernel_dim_fast` only tells a trivial kernel from a
-nontrivial one: full rank mod p proves the first, and one lifted kernel
-vector checked exactly proves the second, with Bareiss as the fallback.
-Rows that several of its stacks share (`reduced_block`) are reduced mod p
-once.  Over other fields both reduce the rows by one RREF.
+`_kernels.certified_kernel`.  `kernel_dim_fast` only tells a trivial kernel
+from a nontrivial one: full rank mod p proves the first, and one lifted
+kernel vector checked exactly proves the second, with Bareiss as the
+fallback.  Rows that several of its stacks share (`reduced_block`) are
+reduced mod p once.  Everything else -- the fallback when the certificate
+fails, every other field, and the spans and intersections of subspaces --
+goes through one sparse RREF over the field (`_rref`).
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from . import _kernels
-from .errors import AmbientMismatch, DimensionMismatch
+from .errors import AmbientMismatch
 from .scalars import require_same_field
 
 
-class Matrix:
-    def __init__(self, field, rows: int, cols: int, entries: list):
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries  # flat, row-major, raw scalars
-
-    @classmethod
-    def from_rows(cls, field, rows_data):
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        flat = []
-        for r in rows_data:
-            if len(r) != cols:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(r)
-        return cls(field, rows, cols, flat)
-
-    @classmethod
-    def identity(cls, field, n):
-        e = [field.zero] * (n * n)
-        for i in range(n):
-            e[i * n + i] = field.one
-        return cls(field, n, n, e)
-
-    def at(self, r, c):
-        return self.entries[r * self.cols + c]
-
-    def row(self, r):
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def row_list(self):
-        return [self.row(r) for r in range(self.rows)]
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        require_same_field(self.field, other.field, "stacked matrices")
-        if self.cols != other.cols:
-            raise DimensionMismatch("stacking needs equal column counts")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def is_zero_matrix(self) -> bool:
-        F = self.field
-        return all(F.is_zero(e) for e in self.entries)
+def _sub_scaled(field, v: dict, f, row: dict):
+    """v -= f * row on sparse rows, dropping entries that vanish."""
+    F = field
+    for j, y in row.items():
+        w = F.sub(v[j], F.mul(f, y)) if j in v else F.neg(F.mul(f, y))
+        if F.is_zero(w):
+            del v[j]
+        else:
+            v[j] = w
 
 
-def rref(m: Matrix):
-    """Canonical reduced row echelon form.
+def _echelon_add(field, echelon: dict, row: dict) -> bool:
+    """Add ``row`` to ``echelon`` when it is independent of the rows there;
+    return whether it was.
 
-    Returns (R, pivot_columns).  Pivots are chosen deterministically: for
-    each column left to right, the first row (top to bottom, at or below the
-    current pivot row) with a nonzero entry.
+    ``echelon`` maps each pivot column to its row, which is 1 at the pivot
+    and zero left of it and in every pivot column present when it was added
+    (an RREF is such a form).  A reduced copy of ``row`` is stored, and the
+    stored rows are never written.  Subtracting the row of pivot c only
+    touches columns right of c, so the pivot columns of the copy are cleared
+    in ascending order, off a heap.
     """
-    F = m.field
-    rows = [list(r) for r in m.row_list()]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    prow = 0
-    for c in range(nc):
-        sel = -1
-        for r in range(prow, nr):
-            if not F.is_zero(rows[r][c]):
-                sel = r
-                break
-        if sel < 0:
+    F = field
+    v = {c: x for c, x in row.items() if not F.is_zero(x)}
+    todo = [c for c in v if c in echelon]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        f = v.get(c)
+        if f is None:  # cleared on the way, or a duplicate entry
             continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = F.inv(rows[prow][c])
-        rows[prow] = [F.mul(inv, x) for x in rows[prow]]
-        for r in range(nr):
-            if r != prow and not F.is_zero(rows[r][c]):
-                f = rows[r][c]
-                rows[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[r], rows[prow])]
-        pivots.append(c)
-        prow += 1
-        if prow == nr:
+        prow = echelon[c]
+        for j in prow:
+            if j not in v and j in echelon:
+                heappush(todo, j)
+        _sub_scaled(F, v, f, prow)
+    if not v:
+        return False
+    pc = min(v)
+    if v[pc] != F.one:
+        inv = F.inv(v[pc])
+        v = {j: F.mul(inv, y) for j, y in v.items()}
+    echelon[pc] = v
+    return True
+
+
+def _rref(field, n: int, rows) -> dict:
+    """Canonical RREF of sparse rows with n columns, as ``{pivot column:
+    row}`` in ascending pivot order.
+
+    Rows are added to a forward echelon form (`_echelon_add`), which stops
+    at n pivots; then one back-substitution in descending pivot order clears
+    each row in the pivot columns right of its own, against rows that are
+    already fully reduced, so no step brings a pivot column back.
+    """
+    echelon = {}
+    for row in rows:
+        if len(echelon) == n:
             break
-    flat = [x for row in rows for x in row]
-    return Matrix(F, nr, nc, flat), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel(m: Matrix) -> "Subspace":
-    """Right kernel {x : m x = 0} as a canonical Subspace of F^cols."""
-    if m.rows == 0:
-        return Subspace.full(m.field, m.cols)
-    r, pivots = rref(m)
-    return _kernel_of_rref(r, pivots)
-
-
-def _kernel_of_rref(r: Matrix, pivots) -> "Subspace":
-    F = r.field
-    n = r.cols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fcol in free_cols:
-        v = [F.zero] * n
-        v[fcol] = F.one
-        for prow_idx, pcol in enumerate(pivots):
-            v[pcol] = F.neg(r.at(prow_idx, fcol))
-        basis.append(v)
-    return Subspace.from_spanning(F, n, basis)
-
-
-def _span_of_rref(r: Matrix, pivots) -> "Subspace":
-    rows = [r.row(i) for i in range(len(pivots))]
-    basis = Matrix.from_rows(r.field, rows) if rows else Matrix(r.field, 0, r.cols, [])
-    return Subspace(r.field, r.cols, basis)
+        _echelon_add(field, echelon, row)
+    pivots = sorted(echelon)
+    for pc in reversed(pivots):
+        row = echelon[pc]
+        for c in [c for c in row if c != pc and c in echelon]:
+            _sub_scaled(field, row, row[c], echelon[c])
+    return {pc: echelon[pc] for pc in pivots}
 
 
 class Subspace:
-    """Subspace of F^n held as a canonical RREF basis (rows of ``basis``)."""
+    """Subspace of F^n held as its canonical RREF: ``rows`` maps each pivot
+    column, ascending, to its sparse row."""
 
-    def __init__(self, field, ambient_dim: int, basis: Matrix):
+    def __init__(self, field, ambient_dim: int, rows: dict):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis  # dim x ambient_dim, canonical RREF, no zero rows
+        self.rows = rows
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    def vector(self, i: int) -> list:
+        """Basis vector i (the row of the i-th pivot) as a dense coordinate list."""
+        v = [self.field.zero] * self.ambient_dim
+        for c, x in list(self.rows.values())[i].items():
+            v[c] = x
+        return v
 
     @classmethod
-    def from_spanning(cls, field, ambient_dim, vectors):
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("spanning vector has wrong length")
-        if not vectors:
-            return cls(field, ambient_dim, Matrix(field, 0, ambient_dim, []))
-        return _span_of_rref(*rref(Matrix.from_rows(field, vectors)))
+    def from_spanning(cls, field, ambient_dim, rows):
+        """The span of sparse rows ``{column: scalar}`` in F^ambient_dim."""
+        if any(not 0 <= c < ambient_dim for row in rows for c in row):
+            raise AmbientMismatch("spanning row has a column outside the ambient space")
+        return cls(field, ambient_dim, _rref(field, ambient_dim, rows))
 
-    @classmethod
-    def full(cls, field, n):
-        return cls(field, n, Matrix.identity(field, n))
+    def completion(self) -> list:
+        """The columns k, ascending, of the basis vectors e_k that complete
+        the subspace to F^n greedily: e_k is taken when it lies outside the
+        span of the rows and of the e_j taken before it."""
+        F = self.field
+        echelon = dict(self.rows)
+        return [k for k in range(self.ambient_dim) if _echelon_add(F, echelon, {k: F.one})]
 
     def contains(self, v) -> bool:
+        """Whether the dense vector v lies in the subspace: v minus v[pc]
+        times the row of each pivot pc must vanish."""
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector has wrong ambient dimension")
         F = self.field
-        # reduce v against the RREF basis rows
-        w = list(v)
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            pcol = next(c for c in range(self.ambient_dim) if not F.is_zero(row[c]))
-            f = w[pcol]
-            if not F.is_zero(f):
-                w = [F.sub(x, F.mul(f, y)) for x, y in zip(w, row)]
-        return all(F.is_zero(x) for x in w)
+        w = {c: x for c, x in enumerate(v) if not F.is_zero(x)}
+        for pc, row in self.rows.items():
+            if pc in w:
+                _sub_scaled(F, w, w[pc], row)
+        return not w
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the stacked constraint systems.
+        """Intersection by one Zassenhaus reduction.
 
-        Each subspace is the solution set of its complement's equations
-        (the kernel of its basis matrix, transposed back as constraints);
-        stacking both constraint sets and taking the kernel gives exactly
-        the vectors annihilated by both complements.
+        The canonical RREF of the rows [a | a] for each row a of self and
+        [b | 0] for each row b of other, over 2n columns, has a row with
+        pivot at or past n exactly for each row of the canonical RREF of the
+        intersection, shifted right by n.
         """
         require_same_field(self.field, other.field, "intersected subspaces")
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("subspaces of different ambient dimension")
-        c1 = kernel(self.basis).basis  # constraints cutting out self
-        c2 = kernel(other.basis).basis
-        stacked = c1.stack(c2)
-        if stacked.rows == 0:
-            return Subspace.full(self.field, self.ambient_dim)
-        return kernel(stacked)
+        n = self.ambient_dim
+        stacked = [{**a, **{n + c: x for c, x in a.items()}} for a in self.rows.values()]
+        stacked += other.rows.values()
+        rows = _rref(self.field, 2 * n, stacked)
+        return Subspace(self.field, n, {
+            pc - n: {c - n: x for c, x in row.items()} for pc, row in rows.items() if pc >= n
+        })
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis.entries == other.basis.entries
-            and self.basis.rows == other.basis.rows
+            and self.rows == other.rows
         )
 
 
-def integerized_entries(m: Matrix):
-    """Flat integer entries row-equivalent to a matrix over Q.
+def integerized_entries(rows):
+    """Flat row-major integer entries row-equivalent to dense rows over Q.
 
     Each row is scaled by the lcm of its denominators; row scaling keeps the
     row space and the kernel, so ranks and nullities agree with the original.
-    A matrix of ``int`` scalars is already integral and is copied as it is.
+    Rows of ``int`` scalars are already integral and are copied as they are.
     """
-    if set(map(type, m.entries)) <= {int}:
-        return list(m.entries)
+    if all(type(x) is int for row in rows for x in row):
+        return [x for row in rows for x in row]
     out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
         out.extend(x.numerator * (mult // x.denominator) for x in row)
     return out
 
@@ -238,38 +198,37 @@ def _integer_row(row: dict) -> dict:
     return {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
 
 
-def _reduce_span_and_kernel(field, n: int, rows: list):
-    """Span and kernel of sparse rows from one canonical RREF."""
-    m = Matrix(field, len(rows), n, [row.get(c, field.zero) for row in rows for c in range(n)])
-    r, pivots = rref(m)
-    return _span_of_rref(r, pivots), _kernel_of_rref(r, pivots)
-
-
 def span_and_kernel(field, n: int, rows: list):
     """Row space and right kernel of the matrix with sparse rows ``rows``.
 
     Each row is a ``{column: scalar}`` dict over ``field`` with n columns;
     both results are canonical Subspaces of F^n.  Over Q the integerized
     rows go through `_kernels.certified_kernel`: its pivots are those of
-    the RREF over Q, and row pc of that RREF is 1 at pc and -v_f[pc]/v_f[f]
-    at each free column f, from the lifted kernel vectors v_f.  When the
-    certificate fails, and over finite fields, one RREF of all rows
-    decides.  Canonical bases are unique, so both routes return identical
+    the RREF over Q, row pc of that RREF is 1 at pc and -v_f[pc]/v_f[f]
+    at each free column f, from the lifted kernel vectors v_f, and the
+    kernel is their span.  When the certificate fails, and over finite
+    fields, the span is one `_rref` of all rows, and the kernel is spanned
+    by the vectors x_f of its free columns f: 1 at f and -R[pc][f] at each
+    pivot pc.  Canonical bases are unique, so both routes return identical
     subspaces.
     """
     if field.kind == "Q":
         cert = _kernels.certified_kernel([_integer_row(row) for row in rows], n)
         if cert is not None:
             pivots, ker = cert
-            ents = [field.zero] * (len(pivots) * n)
-            for i, pc in enumerate(pivots):
-                ents[i * n + pc] = field.one
-                for f, v in ker.items():
-                    if pc in v:
-                        ents[i * n + f] = field.div(-v[pc], v[f])
-            r = Matrix(field, len(pivots), n, ents)
-            return _span_of_rref(r, pivots), _kernel_of_rref(r, pivots)
-    return _reduce_span_and_kernel(field, n, rows)
+            span = {pc: {pc: field.one} for pc in pivots}
+            for f, v in ker.items():
+                for pc, x in v.items():
+                    if pc != f:
+                        span[pc][f] = field.div(-x, v[f])
+            return Subspace(field, n, span), Subspace.from_spanning(field, n, list(ker.values()))
+    span = _rref(field, n, rows)
+    ker = {f: {f: field.one} for f in range(n) if f not in span}
+    for pc, row in span.items():
+        for f, x in row.items():
+            if f != pc:
+                ker[f][pc] = field.neg(x)
+    return Subspace(field, n, span), Subspace.from_spanning(field, n, list(ker.values()))
 
 
 def reduced_block(field, n: int, rows: list):
@@ -287,11 +246,11 @@ def kernel_dim_fast(field, n: int, rows: list, block=None) -> int:
     Over Q this is `_kernels.int_kernel_dim` of the integerized rows: a
     positive value is proved exactly, by one lifted kernel vector or by
     Bareiss, but it is the nullity only on the Bareiss route.  Over every
-    other field it is the nullity, from one RREF.
+    other field it is the nullity, n minus the rank from one `_rref`.
     """
     if field.kind == "Q":
         return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n, block)
-    return _reduce_span_and_kernel(field, n, rows)[1].dim
+    return n - len(_rref(field, n, rows))
 
 
 def vectors_equal(field, u, v) -> bool:

@@ -7,7 +7,7 @@ Raw representations (no wrapper object per scalar):
 * F_{p^n}, n > 1 -> tuple of n ints in [0, p): coefficients of the residue
   polynomial, constant term first, against a fixed monic irreducible modulus.
 
-A field object carries the arithmetic; containers (matrices, algebras) hold
+A field object carries the arithmetic; containers (subspaces, algebras) hold
 the field once and store raw scalar values.  String forms follow one grammar
 everywhere: rationals as ``num/den`` in decimal digits with an optional sign
 (denominator omitted when 1), prime residues as decimal, extension elements

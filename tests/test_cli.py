@@ -131,6 +131,8 @@ MALFORMED_INPUTS = {
     "field-string": (_gl2_with(field="Q"), "algebra"),
     "brackets-number": (_gl2_with(brackets=5), "algebra"),
     "basis-names-number": (_gl2_with(basis_names=5), "algebra"),
+    "basis-names-objects": (_gl2_with(basis_names=[1, {"x": 2}, "e3", "e4"]), "algebra"),
+    "name-number": (_gl2_with(name=7), "algebra"),
     "dim-float": (_gl2_with(dim=4.7), "algebra"),
     "dim-bool": ({"field": {"kind": "Q"}, "dim": True, "brackets": []}, "algebra"),
     "dim-string": (_gl2_with(dim="4"), "algebra"),

@@ -4,11 +4,13 @@ import random
 import time
 from fractions import Fraction
 
+from dense_rref import dense, dense_kernel, dense_span
+
 from ualie import _kernels
 from ualie._kernels import WITNESS_PRIME
 from ualie.constructions import CATALOG_EXAMPLES, build_catalog, direct_sum
 from ualie.liecore import StructureConstantAlgebra
-from ualie.linalg import Subspace, kernel, vec_add, vec_scale, vector_is_zero, vectors_equal
+from ualie.linalg import vec_add, vec_scale, vector_is_zero, vectors_equal
 from ualie.scalars import QQ, PrimeField
 
 
@@ -69,8 +71,9 @@ def test_ad_matrix_matches_bracket():
     for _ in range(30):
         x = rand_vec(rng, QQ, 3)
         ad = g.ad_matrix(x)
+        assert len(ad) == 3 and all(len(row) == 3 for row in ad)
         for j in range(3):
-            column = [ad.at(k, j) for k in range(3)]
+            column = [ad[k][j] for k in range(3)]
             assert vectors_equal(QQ, column, g.bracket(x, g.basis_vector(j)))
 
 
@@ -98,7 +101,7 @@ def test_centralizer_of_center_is_everything():
     g = build_catalog("heisenberg", QQ, k=2)
     z = g.center()
     assert z.dim == 1
-    assert g.centralizer(z.basis.row(0)).dim == g.dim
+    assert g.centralizer(z.vector(0)).dim == g.dim
 
 
 def test_mutual_centralizer_sl2():
@@ -161,12 +164,12 @@ def test_json_round_trip_preserves_structure():
 
 
 def _plain_center_and_derived(g):
-    """Today's reference: one RREF of all stacked dense adjoints / all brackets."""
-    stacked = g.ad_matrix(g.basis_vector(0))
-    for i in range(1, g.dim):
-        stacked = stacked.stack(g.ad_matrix(g.basis_vector(i)))
-    vecs = [[row.get(k, g.field.zero) for k in range(g.dim)] for row in g.brackets.values()]
-    return kernel(stacked), Subspace.from_spanning(g.field, g.dim, vecs)
+    """The dense reference: the kernel of all stacked dense adjoints and the
+    span of all brackets, each from one dense RREF."""
+    F, n = g.field, g.dim
+    stacked = [row for i in range(n) for row in g.ad_matrix(g.basis_vector(i))]
+    center = dense_span(F, dense_kernel(F, stacked, n), n)
+    return center, dense_span(F, dense(F, g.brackets.values(), n), n)
 
 
 def _certificate_outcomes(monkeypatch):

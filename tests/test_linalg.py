@@ -1,146 +1,182 @@
-"""Exact linear algebra over Q and prime fields.
+"""Exact linear algebra over Q and finite fields, on sparse rows.
 
-Oracle values were computed by hand on small matrices; the random loops
-check structural identities (rank of the transposed matrix, kernel
-membership) that hold for every well-formed input.
+Oracle values were computed by hand on small matrices, and the dense
+canonical RREF of ``dense_rref.py`` is the reference every sparse result
+must match exactly; the random loops check structural identities (rank of
+the transposed matrix, kernel membership, intersection dimensions) that hold
+for every well-formed input.
 """
 
 import math
 import random
-from fractions import Fraction
+
+import pytest
+from dense_rref import dense, dense_kernel, dense_rank, dense_span, dense_span_and_kernel
 
 from ualie import _kernels
+from ualie.errors import AmbientMismatch
 from ualie.linalg import (
-    Matrix,
     Subspace,
-    _reduce_span_and_kernel,
-    kernel,
-    rank,
-    rref,
+    kernel_dim_fast,
     span_and_kernel,
     vec_add,
     vec_scale,
     vec_sub,
     vector_is_zero,
-    vectors_equal,
 )
-from ualie.scalars import QQ, PrimeField
+from ualie.scalars import QQ, ExtensionField, PrimeField
+
+F5, F9 = PrimeField(5), ExtensionField(3, 2)
 
 
-def frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def random_rows(rng, F, m, n, span=3):
+    """m dense random rows over F, about a third of the entries zero."""
+    if F.kind == "Q":
+        def entry():
+            return QQ.div(rng.randint(-span, span), rng.randint(1, 2))
+    else:
+        elements = list(F.elements())
+
+        def entry():
+            return rng.choice(elements)
+    return [[entry() if rng.random() < 0.67 else F.zero for _ in range(n)] for _ in range(m)]
 
 
-def random_matrix(rng, F, m, n, span=5):
-    rows = []
-    for _ in range(m):
-        if F.kind == "Q":
-            rows.append([Fraction(rng.randint(-span, span)) for _ in range(n)])
-        else:
-            rows.append([F.from_int(rng.randrange(F.order)) for _ in range(n)])
-    return Matrix.from_rows(F, rows)
+def to_sparse(F, rows):
+    """Dense rows over F as sparse rows, zeros left out."""
+    return [{c: x for c, x in enumerate(row) if not F.is_zero(x)} for row in rows]
 
 
-def test_matrix_construction_and_access():
-    M = Matrix.from_rows(QQ, frac_rows([[1, 2], [3, 4]]))
-    assert (M.rows, M.cols) == (2, 2)
-    assert M.at(1, 0) == 3
-    assert M.row(0) == [Fraction(1), Fraction(2)]
-    I = Matrix.identity(QQ, 3)
-    assert I.at(2, 2) == 1 and I.at(0, 2) == 0
-    Z = Matrix(QQ, 2, 3, [0] * 6)
-    assert Z.is_zero_matrix()
+def matrix_times(F, rows, v):
+    out = []
+    for row in rows:
+        acc = F.zero
+        for x, y in zip(row, v):
+            acc = F.add(acc, F.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def test_subspace_rows_and_vector_access():
+    S = Subspace.from_spanning(QQ, 3, [{0: 2, 1: 4}, {1: 1, 2: 1}, {0: 0}, {}])
+    # [2, 4, 0] -> [1, 2, 0], then back-substitution by [0, 1, 1]
+    assert S.rows == {0: {0: 1, 2: -2}, 1: {1: 1, 2: 1}}
+    assert list(S.rows) == [0, 1] and S.dim == 2
+    assert S.vector(0) == [1, 0, -2] and S.vector(1) == [0, 1, 1]
+    assert Subspace.from_spanning(QQ, 3, [{0: 0}, {}]).dim == 0
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_spanning(QQ, 3, [{3: 1}])
+    with pytest.raises(AmbientMismatch):
+        S.contains([1, 0])
 
 
 def test_rank_hand_examples():
-    M = Matrix.from_rows(QQ, frac_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
-    assert rank(M) == 2
-    assert rank(Matrix.identity(QQ, 4)) == 4
-    assert rank(Matrix(QQ, 3, 3, [0] * 9)) == 0
-    F5 = PrimeField(5)
+    assert span_and_kernel(QQ, 3, to_sparse(QQ, [[1, 2, 3], [2, 4, 6], [1, 1, 1]]))[0].dim == 2
+    identity = [{i: 1} for i in range(4)]
+    assert span_and_kernel(QQ, 4, identity)[0].dim == 4
+    span, ker = span_and_kernel(QQ, 3, [{}, {}, {}])
+    assert (span.dim, ker.dim) == (0, 3)
     # second row is 2 * first row mod 5
-    M5 = Matrix.from_rows(F5, [[1, 2], [2, 4]])
-    assert rank(M5) == 1
+    assert span_and_kernel(F5, 2, to_sparse(F5, [[1, 2], [2, 4]]))[0].dim == 1
+    # over F_9, [1, a] and [a, a^2] are proportional for every a
+    a = F9.parse("0,1")
+    assert span_and_kernel(F9, 2, [{0: F9.one, 1: a}, {0: a, 1: F9.mul(a, a)}])[0].dim == 1
+    assert kernel_dim_fast(F9, 2, [{0: F9.one, 1: a}, {0: a, 1: F9.mul(a, a)}]) == 1
 
 
 def test_rref_idempotent_and_pivots():
-    M = Matrix.from_rows(QQ, frac_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]]))
-    R, pivots = rref(M)
-    assert pivots == [0, 1]
-    R2, pivots2 = rref(R)
-    assert pivots2 == pivots
-    for i in range(R.rows):
-        assert R.row(i) == R2.row(i)
+    rows = to_sparse(QQ, [[0, 2, 4], [1, 1, 1], [1, 3, 5]])
+    span = span_and_kernel(QQ, 3, rows)[0]
+    assert list(span.rows) == [0, 1]
+    assert span == dense_span(QQ, dense(QQ, rows, 3), 3)
+    assert span_and_kernel(QQ, 3, list(span.rows.values()))[0] == span
     # pivot columns are standard basis columns
-    for r, c in enumerate(pivots):
-        col = [R.at(i, c) for i in range(R.rows)]
-        assert col[r] == 1 and all(x == 0 for i, x in enumerate(col) if i != r)
+    for pc, row in span.rows.items():
+        assert row[pc] == 1 and min(row) == pc
+        assert all(pc not in other for c, other in span.rows.items() if c != pc)
 
 
 def test_rank_equals_rank_of_transpose_random():
     rng = random.Random(41)
-    for F in (QQ, PrimeField(3), PrimeField(7)):
+    for F in (QQ, PrimeField(3), PrimeField(7), F9):
         for _ in range(40):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
-            M = random_matrix(rng, F, m, n)
-            T = Matrix.from_rows(F, [[M.at(r, c) for r in range(m)] for c in range(n)])
-            assert rank(M) == rank(T)
+            M = random_rows(rng, F, m, n)
+            T = [[M[r][c] for r in range(m)] for c in range(n)]
+            r = span_and_kernel(F, n, to_sparse(F, M))[0].dim
+            assert r == span_and_kernel(F, m, to_sparse(F, T))[0].dim == dense_rank(F, M, n)
+
+
+def test_span_and_kernel_match_the_dense_oracle():
+    rng = random.Random(2203)
+    for F in (QQ, F5, F9):
+        for _ in range(60):
+            m, n = rng.randint(0, 7), rng.randint(1, 7)
+            M = random_rows(rng, F, m, n)
+            if m > 1 and rng.random() < 0.5:  # force a dependent row
+                M.append(vec_add(F, M[0], vec_scale(F, F.from_int(2), M[1])))
+            span, ker = span_and_kernel(F, n, to_sparse(F, M))
+            assert (span, ker) == dense_span_and_kernel(F, M, n)
+            if F.kind != "Q":
+                assert kernel_dim_fast(F, n, to_sparse(F, M)) == ker.dim
 
 
 def test_kernel_vectors_are_killed():
     rng = random.Random(17)
-    for F in (QQ, PrimeField(5)):
+    for F in (QQ, F5, F9):
         for _ in range(40):
             m, n = rng.randint(1, 5), rng.randint(1, 6)
-            M = random_matrix(rng, F, m, n)
-            K = kernel(M)
-            assert K.dim == n - rank(M)
-            for v in K.basis.row_list():
-                products = [F.zero] * m
-                for r in range(m):
-                    for x, y in zip(M.row(r), v):
-                        products[r] = F.add(products[r], F.mul(x, y))
-                assert vector_is_zero(F, products)
+            M = random_rows(rng, F, m, n)
+            K = span_and_kernel(F, n, to_sparse(F, M))[1]
+            assert K.dim == n - dense_rank(F, M, n)
+            for i in range(K.dim):
+                assert vector_is_zero(F, matrix_times(F, M, K.vector(i)))
 
 
 def test_subspace_membership_and_dim():
     F = QQ
-    v1 = frac_rows([[1, 0, 0]])[0]
-    v2 = frac_rows([[0, 1, 0]])[0]
-    S = Subspace.from_spanning(F, 3, [v1, v2, vec_add(F, v1, v2)])
+    v1, v2 = [1, 0, 0], [0, 1, 0]
+    S = Subspace.from_spanning(F, 3, to_sparse(F, [v1, v2, vec_add(F, v1, v2)]))
     assert S.dim == 2
-    assert S.contains(vec_sub(F, v1, vec_scale(F, Fraction(3), v2)))
-    assert not S.contains(frac_rows([[0, 0, 1]])[0])
-    assert Subspace.full(F, 3).dim == 3
+    assert S.contains(vec_sub(F, v1, vec_scale(F, 3, v2)))
+    assert not S.contains([0, 0, 1])
+    assert Subspace.from_spanning(F, 3, [{i: 1} for i in range(3)]).dim == 3
     assert Subspace.from_spanning(F, 3, []).dim == 0
+    a = F9.parse("1,1")
+    T = Subspace.from_spanning(F9, 2, [{0: a, 1: F9.one}])
+    assert T.contains([F9.mul(a, a), a]) and not T.contains([F9.one, F9.one])
 
 
 def test_subspace_intersection_dims():
-    """dim(U cap W) + dim(U + W) == dim U + dim W on random spans."""
+    """dim(U cap W) + dim(U + W) == dim U + dim W on random spans, and the
+    Zassenhaus intersection equals the kernel of the stacked annihilators,
+    from the dense oracle."""
     rng = random.Random(88)
-    F = PrimeField(3)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        U = Subspace.from_spanning(
-            F, n, [random_matrix(rng, F, 1, n).row(0) for _ in range(rng.randint(1, n))]
-        )
-        W = Subspace.from_spanning(
-            F, n, [random_matrix(rng, F, 1, n).row(0) for _ in range(rng.randint(1, n))]
-        )
-        cap = U.intersect(W)
-        total = Subspace.from_spanning(F, n, U.basis.row_list() + W.basis.row_list())
-        assert cap.dim + total.dim == U.dim + W.dim
-        for v in cap.basis.row_list():
-            assert U.contains(v) and W.contains(v)
+    for F in (PrimeField(3), QQ, F5, F9):
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            U, W = (
+                Subspace.from_spanning(F, n, to_sparse(F, random_rows(rng, F, k, n)))
+                for k in (rng.randint(1, n), rng.randint(1, n))
+            )
+            cap = U.intersect(W)
+            total = Subspace.from_spanning(F, n, [*U.rows.values(), *W.rows.values()])
+            assert cap.dim + total.dim == U.dim + W.dim
+            for i in range(cap.dim):
+                assert U.contains(cap.vector(i)) and W.contains(cap.vector(i))
+            annihilators = [
+                v for S in (U, W) for v in dense_kernel(F, dense(F, S.rows.values(), n), n)
+            ]
+            assert cap == dense_span(F, dense_kernel(F, annihilators, n), n)
 
 
 def test_subspace_equality_is_span_equality():
-    F = QQ
-    a = frac_rows([[1, 1]])[0]
-    b = frac_rows([[2, 2]])[0]
-    assert Subspace.from_spanning(F, 2, [a]) == Subspace.from_spanning(F, 2, [b])
-    assert Subspace.from_spanning(F, 2, [a]) != Subspace.full(F, 2)
+    def span(F, *rows):
+        return Subspace.from_spanning(F, 2, list(rows))
 
+    assert span(QQ, {0: 1, 1: 1}) == span(QQ, {0: 2, 1: 2})
+    assert span(QQ, {0: 1, 1: 1}) != span(QQ, {0: 1}, {1: 1})
+    assert span(F5, {0: 1}) != span(QQ, {0: 1})
 
 
 def _certificate_outcomes(monkeypatch):
@@ -156,22 +192,25 @@ def _certificate_outcomes(monkeypatch):
     return outcomes
 
 
-def _sparse_rows(rows):
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+def _fallback_span_and_kernel(monkeypatch, n, rows):
+    """`span_and_kernel` over Q with the certificate refused: one `_rref`."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "certified_kernel", lambda *args: None)
+        return span_and_kernel(QQ, n, rows)
 
 
 def _low_rank_rows(rng, m, n, inner):
     """m x n rational rows B*C with inner dimension ``inner``, plus duplicate
     and zero rows, shuffled."""
     def entry():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        return QQ.div(rng.randint(-3, 3), rng.randint(1, 4))
 
     b = [[entry() for _ in range(inner)] for _ in range(m)]
     c = [[entry() for _ in range(n)] for _ in range(inner)]
     rows = [[QQ.add(0, sum(bt * ct[j] for bt, ct in zip(br, c))) for j in range(n)] for br in b]
     rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] + [[0] * n] * rng.randint(0, 2)
     rng.shuffle(rows)
-    return _sparse_rows(rows)
+    return to_sparse(QQ, rows)
 
 
 def test_certified_span_and_kernel_match_one_rref_on_sparse_rational_rows(monkeypatch):
@@ -182,7 +221,9 @@ def test_certified_span_and_kernel_match_one_rref_on_sparse_rational_rows(monkey
         cases.append((n, _low_rank_rows(rng, rng.randint(1, 9), n, rng.randint(0, n))))
     outcomes = _certificate_outcomes(monkeypatch)
     for n, rows in cases:
-        assert span_and_kernel(QQ, n, rows) == _reduce_span_and_kernel(QQ, n, rows)
+        got = span_and_kernel(QQ, n, rows)
+        assert got == _fallback_span_and_kernel(monkeypatch, n, rows)
+        assert got == dense_span_and_kernel(QQ, dense(QQ, rows, n), n)
     # small entries mostly lift; a dense rank-6 or -7 product can outgrow the
     # lift bound and fall back, with the same answer
     assert len(outcomes) == len(cases) and sum(outcomes) >= 50
@@ -202,6 +243,6 @@ def test_span_and_kernel_fall_back_where_the_kernel_does_not_lift(monkeypatch):
         rows += [{c + 3: x for c, x in row.items()} for row in _low_rank_rows(rng, 4, n - 3, 1)]
         rng.shuffle(rows)
         span, ker = span_and_kernel(QQ, n, rows)
-        assert (span, ker) == _reduce_span_and_kernel(QQ, n, rows)
+        assert (span, ker) == dense_span_and_kernel(QQ, dense(QQ, rows, n), n)
         assert span.dim + ker.dim == n and ker.dim >= 1
     assert outcomes == [False] * 20
