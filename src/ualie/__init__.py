@@ -5,8 +5,7 @@ that preserves commutators is automatically additive.  This package decides
 that property where current theory allows: a positive criterion through
 mutually disjoint centralizers over infinite fields, a constructive negative
 criterion through commutator-preserving swaps, seaweed subalgebras of sl_n,
-split solvable presentations, and exhaustive brute force for small finite
-rings.  All arithmetic is exact and all randomized searches are seeded, so
+and exhaustive brute force for small finite rings.  All arithmetic is exact and all randomized searches are seeded, so
 every report is reproducible byte for byte.
 """
 

@@ -1,27 +1,37 @@
-"""Exact integer and mod-p elimination kernels, in pure Python.
+"""Exact elimination kernels, in pure Python: the package's one sparse row
+reducer and the integer routines of the modular certificate over Q.
 
-Every elimination over Q that can be certified runs on one sparse RREF mod
-``WITNESS_PRIME`` (`rref_mod_p`), the only mod-p reducer, and on kernel
-vectors read off it and lifted to Z by rational reconstruction
-(`_lifted_kernel`), each checked exactly against the integer rows.
-`certified_kernel` lifts and checks the vector of every free column, which
-gives the canonical span and kernel of `linalg.span_and_kernel`.
+`_rref` is the only row reducer.  It works over any field, on sparse rows
+``{column: scalar}``, in one pass per row: the row is reduced against the
+stored pivots, scaled to 1 at its own, and cleared out of the stored rows,
+so the canonical RREF is there at the end with no back-substitution.
+`linalg` runs every span, kernel and intersection through it, over every
+field, and the exact fallback over Q too.
+
+Every elimination over Q that can be certified runs `_rref` over
+``WITNESS_FIELD`` (F_p, p = ``WITNESS_PRIME``) on the integer rows, which
+it reads mod p, and lifts kernel vectors read off it to Z by rational
+reconstruction (`_lifted_kernel`), each checked exactly against the integer
+rows.  `certified_kernel` lifts and checks the vector of every free column,
+which gives the canonical span and kernel of `linalg.span_and_kernel`.
 `int_kernel_dim` only has to tell a trivial kernel from a nontrivial one:
 full rank mod p proves the first, and one lifted vector that passes the
 exact check proves the second.  Rows that several of its stacks share are
 reduced once and passed as a block, which each stack extends without
-writing to it.  Nullities over F_p do not come here.
+writing to it.
 
 Two routes over Q, kept apart on purpose: the certificate finds witnesses,
 while `int_rank` is Bareiss alone, so a witness found through the modular
 route is re-verified by an independent one.  When a lift or the exact
 check fails, the caller falls back to an exact elimination (Bareiss for a
-nullity, `linalg`'s sparse RREF over Q for a span and kernel).
+nullity, `_rref` over Q for a span and kernel).
 """
 
 from __future__ import annotations
 
 from math import isqrt, lcm
+
+from .scalars import PrimeField
 
 # There is one implementation; perfbench stamps this in its environment line.
 BACKEND = "pure"
@@ -29,6 +39,7 @@ BACKEND = "pure"
 # Fixed witness prime for the modular certificate: rows independent mod p
 # are independent over Q for integer matrices (never a false accept).
 WITNESS_PRIME = 2**31 - 1
+WITNESS_FIELD = PrimeField(WITNESS_PRIME)
 
 # Numerators and denominators up to this bound are reconstructed uniquely
 # from a residue mod WITNESS_PRIME (2 * bound^2 < p).
@@ -71,53 +82,64 @@ def int_rank(entries, rows: int, cols: int) -> int:
     return rank
 
 
-def _sub_scaled_mod(dst: dict, f: int, src: dict, p: int):
-    """dst -= f * src mod p on sparse rows, dropping entries that vanish."""
-    for j, y in src.items():
-        w = (dst.get(j, 0) - f * y) % p
-        if w:
-            dst[j] = w
-        else:
-            dst.pop(j, None)
+def _add_row(field, basis: dict, cols: set, row: dict, block=None):
+    """Reduce a copy of ``row`` and add it to the RREF ``basis`` when it is
+    nonzero; return whether it was.
 
-
-def rref_mod_p(int_rows, n: int, p: int, block=None) -> dict:
-    """Sparse RREF mod p of integer rows ``{column: int}`` with n columns.
-
-    Rows are taken greedily in order.  Returns a map from each pivot column
-    to its reduced row (pivot entry 1, zero in every other pivot column).
-    Stops early at n pivots.
-
-    ``block``, the result of an earlier call on rows that several systems
-    share, extends that echelon form instead of starting afresh: each row is
-    reduced against the block's pivots too, and only the new pivot rows are
-    returned, each zero in every block pivot column.  The block is read and
-    never written, so its rows keep their entries in the new pivot columns
-    (`_lifted_kernel` back-substitutes through them), and the early stop
-    counts the pivots of both.
+    The copy is cleared in the pivot columns of ``block`` first (see
+    `_rref`), then in those of ``basis``: the rows of an RREF are zero in
+    each other's pivot columns, so neither pass brings a pivot column back.
+    It is scaled to 1 at its pivot, and the stored rows that meet the new
+    pivot column are cleared there against it, which writes them.  ``cols``
+    holds every column a stored row has ever had; a pivot outside it meets
+    no stored row, so their scan is skipped.  Back-elimination only adds
+    columns of the new row, which join ``cols``.
     """
-    block = block or {}
-    basis = {}
-    for row in int_rows:
-        v = {c: x % p for c, x in row.items() if x % p}
-        if block:
-            for pc in [c for c in v if c in block]:
-                _sub_scaled_mod(v, v[pc], block[pc], p)
-        for pc in [c for c in v if c in basis]:
-            _sub_scaled_mod(v, v[pc], basis[pc], p)
-        if not v:
-            continue
-        pc = min(v)
-        if v[pc] != 1:
-            inv = pow(v[pc], -1, p)
-            v = {j: y * inv % p for j, y in v.items()}
+    F = field
+    v = F.sparse(row)
+    if block:
+        for pc in [c for c in v if c in block]:
+            F.sub_scaled(v, v[pc], block[pc])
+    for pc in [c for c in v if c in basis]:
+        F.sub_scaled(v, v[pc], basis[pc])
+    if not v:
+        return False
+    pc = min(v)
+    if v[pc] != F.one:
+        inv = F.inv(v[pc])
+        v = {j: F.mul(inv, y) for j, y in v.items()}
+    if pc in cols:
         for b in basis.values():
             if pc in b:
-                _sub_scaled_mod(b, b[pc], v, p)
-        basis[pc] = v
+                F.sub_scaled(b, b[pc], v)
+    cols.update(v)
+    basis[pc] = v
+    return True
+
+
+def _rref(field, n: int, rows: list, block=None) -> dict:
+    """Canonical sparse RREF of rows ``{column: scalar}`` over ``field`` with
+    n columns: a map from each pivot column, ascending, to its row (1 at the
+    pivot, 0 in every other pivot column).
+
+    Rows are read, never written: each is copied by the field's `sparse`,
+    which drops zeros (and over F_p reduces integers, so integer rows can
+    be passed as they are).  They are taken greedily in order, each in one
+    pass (`_add_row`), and the reduction stops at n pivots.  ``block``, the RREF of rows that
+    several systems share, is extended instead of starting afresh: each row
+    is reduced against the block's pivots too, and only the new pivot rows
+    are returned, each zero in every block pivot column.  The block is read
+    and never written, so its rows keep their entries in the new pivot
+    columns (`_lifted_kernel` back-substitutes through them), and the early
+    stop counts the pivots of both.
+    """
+    block = block or {}
+    basis, cols = {}, set()
+    for row in rows:
         if len(block) + len(basis) == n:
             break
-    return basis
+        _add_row(field, basis, cols, row, block)
+    return {pc: basis[pc] for pc in sorted(basis)}
 
 
 def _lift(x: int, p: int):
@@ -138,7 +160,7 @@ def _lift(x: int, p: int):
 def _lifted_kernel(basis, n: int, block=None):
     """Yield ``(f, v)`` for each free column f, ascending, of the echelon
     form mod ``WITNESS_PRIME`` made of ``block`` and ``basis`` (see
-    `rref_mod_p`).
+    `_rref`).
 
     The kernel vector x of f is 1 at f and 0 at the other free columns.  A
     new pivot e reads x_e = -basis[e][f]; a block pivot b, whose row still
@@ -204,7 +226,7 @@ def certified_kernel(int_rows, n: int):
     full column rank mod p needs no lift.  None when a lift or the check
     fails.
     """
-    basis = rref_mod_p(int_rows, n, WITNESS_PRIME)
+    basis = _rref(WITNESS_FIELD, n, int_rows)
     kernel = {}
     for free, v in _lifted_kernel(basis, n):
         if v is None:
@@ -218,7 +240,7 @@ def certified_kernel(int_rows, n: int):
 def reduce_block(int_rows, n: int):
     """Sparse integer rows that several `int_kernel_dim` stacks share, kept
     with their RREF mod the witness prime, which is computed here once."""
-    return int_rows, rref_mod_p(int_rows, n, WITNESS_PRIME)
+    return int_rows, _rref(WITNESS_FIELD, n, int_rows)
 
 
 def int_kernel_dim(int_rows, n: int, block=None) -> int:
@@ -234,7 +256,7 @@ def int_kernel_dim(int_rows, n: int, block=None) -> int:
     answer is n minus the Bareiss rank (`int_rank`) of the whole stack.
     """
     block_rows, block_rref = block or ((), {})
-    basis = rref_mod_p(int_rows, n, WITNESS_PRIME, block_rref)
+    basis = _rref(WITNESS_FIELD, n, int_rows, block_rref)
     if len(block_rref) + len(basis) == n:
         return 0
     rows = [*int_rows, *block_rows]

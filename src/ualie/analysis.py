@@ -642,7 +642,7 @@ def verdict(
     positive criterion is unavailable (it needs infinitely many scalars), so
     the swap criterion is tried first and rings of order at most
     ``finite.ENUM_CAP`` fall back to an exhaustive weak-unique-addition
-    search.
+    search; over an extension field no criterion is routed.
     """
     F = g.field
     center = g.center()
@@ -662,32 +662,45 @@ def verdict(
         open_problem_note=None,
     )
 
-    if F.kind == "Q":
-        if g.dim == 0:
+    if g.dim == 0:
+        if F.kind == "Q":
             report.verdict = VERDICT_UA
             report.rule = RULE_TRIVIAL_DIM_0
-            return report
-        if center.dim == 0:
-            res = c_condition(g, trials=trials, seed=child_seed(seed, OFFSET_C_CONDITION),
-                              bound=bound)
-            if res.outcome == OUTCOME_HOLDS:
-                report.verdict = VERDICT_UA
-                report.rule = RULE_C_CONDITION
-                report.witness = res.witness_json(F)
-            else:
-                report.confidence = {
-                    "trials": res.trials_run,
-                    "B": bound,
-                    "miss_probability_bound": res.failure_bound,
-                }
-                report.open_problem_note = NOTE_OPEN_TRIVIAL_CENTER
-            return report
-        neg = negative_criterion(g)
-        if neg is not None:
-            report.verdict = VERDICT_NOT_UA
-            report.rule = RULE_NEG_CASE[neg.case]
-            report.bijection = neg.description.to_json_dict(F)
-            return report
+        else:
+            # finite scalars: the positive route needs an infinite field
+            report.open_problem_note = (
+                "One-element ring: every commutator-preserving bijection is trivially "
+                "additive, but the positive criterion is reserved for infinite fields."
+            )
+        return report
+    if F.kind == "Fq":
+        report.open_problem_note = (
+            "Criteria over extension fields are not implemented; only Q and prime "
+            "fields are routed."
+        )
+        return report
+    if F.kind == "Q" and center.dim == 0:
+        res = c_condition(g, trials=trials, seed=child_seed(seed, OFFSET_C_CONDITION),
+                          bound=bound)
+        if res.outcome == OUTCOME_HOLDS:
+            report.verdict = VERDICT_UA
+            report.rule = RULE_C_CONDITION
+            report.witness = res.witness_json(F)
+        else:
+            report.confidence = {
+                "trials": res.trials_run,
+                "B": bound,
+                "miss_probability_bound": res.failure_bound,
+            }
+            report.open_problem_note = NOTE_OPEN_TRIVIAL_CENTER
+        return report
+    neg = negative_criterion(g)
+    if neg is not None:
+        report.verdict = VERDICT_NOT_UA
+        report.rule = RULE_NEG_CASE[neg.case]
+        report.bijection = neg.description.to_json_dict(F)
+        return report
+    if F.kind == "Q":
         if derived.dim == g.dim:
             report.open_problem_note = NOTE_OPEN_PERFECT_CENTER
         else:
@@ -697,49 +710,29 @@ def verdict(
                 "and center."
             )
         return report
-
-    # finite scalars: unique addition as defined here requires an infinite
-    # field for the positive route, so only obstructions can be certified
-    if g.dim == 0:
-        report.open_problem_note = (
-            "One-element ring: every commutator-preserving bijection is trivially "
-            "additive, but the positive criterion is reserved for infinite fields."
-        )
-        return report
-    if F.kind == "Fp":
-        neg = negative_criterion(g)
-        if neg is not None:
+    # over F_p only obstructions can be certified: exhaustive search on small rings
+    order = F.order**g.dim
+    if order <= finite.ENUM_CAP:
+        wua, example = finite.is_wua(finite.from_algebra(g))
+        if not wua:
             report.verdict = VERDICT_NOT_UA
-            report.rule = RULE_NEG_CASE[neg.case]
-            report.bijection = neg.description.to_json_dict(F)
-            return report
-        order = F.order**g.dim
-        if order <= finite.ENUM_CAP:
-            wua, example = finite.is_wua(finite.from_algebra(g))
-            if not wua:
-                report.verdict = VERDICT_NOT_UA
-                report.rule = RULE_NONE
-                report.bijection = {
-                    "kind": "exhaustive_search",
-                    "map": example,
-                    "note": "commutator-preserving non-additive self-bijection "
-                            "found by exhaustive search",
-                }
-            else:
-                report.open_problem_note = (
-                    f"All {order}-element self-bijections preserving commutators are "
-                    "additive (weak unique addition, verified exhaustively); unique "
-                    "addition against arbitrary reference rings remains undecided."
-                )
-            return report
-        report.open_problem_note = (
-            f"Ring order {order} exceeds the exhaustive-search cap {finite.ENUM_CAP}; "
-            "no criterion applies over a finite field."
-        )
+            report.rule = RULE_NONE
+            report.bijection = {
+                "kind": "exhaustive_search",
+                "map": example,
+                "note": "commutator-preserving non-additive self-bijection "
+                        "found by exhaustive search",
+            }
+        else:
+            report.open_problem_note = (
+                f"All {order}-element self-bijections preserving commutators are "
+                "additive (weak unique addition, verified exhaustively); unique "
+                "addition against arbitrary reference rings remains undecided."
+            )
         return report
     report.open_problem_note = (
-        "Criteria over extension fields are not implemented; only Q and prime "
-        "fields are routed."
+        f"Ring order {order} exceeds the exhaustive-search cap {finite.ENUM_CAP}; "
+        "no criterion applies over a finite field."
     )
     return report
 

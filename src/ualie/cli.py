@@ -190,12 +190,9 @@ def _cmd_seaweed(args) -> int:
     field = parse_field_flag(args.field)
     top = _parse_composition(args.top)
     bottom = _parse_composition(args.bottom)
-    try:
-        spec = constructions.SeaweedSpec(args.n, top, bottom)
-        report = analysis.seaweed_verdict(spec, field, trials=args.trials,
-                                          seed=args.seed, bound=args.B)
-    except UalieError as exc:
-        raise _InputError(str(exc)) from exc
+    spec = constructions.SeaweedSpec(args.n, top, bottom)
+    report = analysis.seaweed_verdict(spec, field, trials=args.trials,
+                                      seed=args.seed, bound=args.B)
     _emit(report.to_json_dict(), args)
     return 0
 
@@ -242,10 +239,7 @@ def _cmd_finite(args) -> int:
         _emit(payload, args)
         return 0
     if args.mode == "field":
-        try:
-            rep = finite.semigroup_aut_report(args.p, args.fn)
-        except UalieError as exc:
-            raise _InputError(str(exc)) from exc
+        rep = finite.semigroup_aut_report(args.p, args.fn)
         payload = {
             "q": rep.q,
             "p": rep.p,
@@ -268,10 +262,7 @@ def _cmd_counterexample(args) -> int:
     if not rep.ok:
         raise _InputError("input algebra fails the Jacobi identity")
     if args.kind == "negcrit":
-        try:
-            res = analysis.negative_criterion(g)
-        except UalieError as exc:
-            raise _InputError(str(exc)) from exc
+        res = analysis.negative_criterion(g)
         if res is None:
             payload = {
                 "algebra": g.name,
@@ -291,11 +282,8 @@ def _cmd_counterexample(args) -> int:
         _emit(payload, args)
         return 0
     if args.kind == "injection":
-        try:
-            res = analysis.central_extension_injection(
-                g, samples=args.samples, seed=args.seed, bound=args.B)
-        except UalieError as exc:
-            raise _InputError(str(exc)) from exc
+        res = analysis.central_extension_injection(
+            g, samples=args.samples, seed=args.seed, bound=args.B)
         F = g.field
         payload = {
             "algebra": g.name,

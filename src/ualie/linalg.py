@@ -6,95 +6,28 @@ per pivot column, pivots ascending, each row 1 at its pivot and 0 in every
 other pivot column.  Canonical bases are unique, so equal subspaces always
 have equal rows.  No pivoting heuristics, no floats.
 
-Over Q, the sparse row systems (the stacked adjoints behind the center and
-the C-condition, the brackets behind the derived subalgebra) are certified
-by `_kernels` on their integerized rows.  `span_and_kernel` reads the
-canonical RREF straight off the pivots and the whole lifted kernel of
-`_kernels.certified_kernel`.  `kernel_dim_fast` only tells a trivial kernel
-from a nontrivial one: full rank mod p proves the first, and one lifted
-kernel vector checked exactly proves the second, with Bareiss as the
-fallback.  Rows that several of its stacks share (`reduced_block`) are
-reduced mod p once.  Everything else -- the fallback when the certificate
-fails, every other field, and the spans and intersections of subspaces --
-goes through one sparse RREF over the field (`_rref`).
+There is one row reducer, `_kernels._rref`, the same for every field.
+Over Q the sparse row systems (the stacked adjoints behind the center and
+the C-condition, the brackets behind the derived subalgebra) are integerized
+and reduced over the witness prime field, and certified by `_kernels`.
+`span_and_kernel` reads the canonical RREF straight off the pivots and the
+whole lifted kernel of `_kernels.certified_kernel`.  `kernel_dim_fast` only
+tells a trivial kernel from a nontrivial one: full rank mod p proves the
+first, and one lifted kernel vector checked exactly proves the second, with
+Bareiss as the fallback.  Rows that several of its stacks share
+(`reduced_block`) are reduced once.  Everything else -- the fallback when
+the certificate fails, every other field, and the spans and intersections
+of subspaces -- runs `_rref` over the field itself.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import lcm
 
 from . import _kernels
+from ._kernels import _add_row, _rref
 from .errors import AmbientMismatch
 from .scalars import require_same_field
-
-
-def _sub_scaled(field, v: dict, f, row: dict):
-    """v -= f * row on sparse rows, dropping entries that vanish."""
-    F = field
-    for j, y in row.items():
-        w = F.sub(v[j], F.mul(f, y)) if j in v else F.neg(F.mul(f, y))
-        if F.is_zero(w):
-            del v[j]
-        else:
-            v[j] = w
-
-
-def _echelon_add(field, echelon: dict, row: dict) -> bool:
-    """Add ``row`` to ``echelon`` when it is independent of the rows there;
-    return whether it was.
-
-    ``echelon`` maps each pivot column to its row, which is 1 at the pivot
-    and zero left of it and in every pivot column present when it was added
-    (an RREF is such a form).  A reduced copy of ``row`` is stored, and the
-    stored rows are never written.  Subtracting the row of pivot c only
-    touches columns right of c, so the pivot columns of the copy are cleared
-    in ascending order, off a heap.
-    """
-    F = field
-    v = {c: x for c, x in row.items() if not F.is_zero(x)}
-    todo = [c for c in v if c in echelon]
-    heapify(todo)
-    while todo:
-        c = heappop(todo)
-        f = v.get(c)
-        if f is None:  # cleared on the way, or a duplicate entry
-            continue
-        prow = echelon[c]
-        for j in prow:
-            if j not in v and j in echelon:
-                heappush(todo, j)
-        _sub_scaled(F, v, f, prow)
-    if not v:
-        return False
-    pc = min(v)
-    if v[pc] != F.one:
-        inv = F.inv(v[pc])
-        v = {j: F.mul(inv, y) for j, y in v.items()}
-    echelon[pc] = v
-    return True
-
-
-def _rref(field, n: int, rows) -> dict:
-    """Canonical RREF of sparse rows with n columns, as ``{pivot column:
-    row}`` in ascending pivot order.
-
-    Rows are added to a forward echelon form (`_echelon_add`), which stops
-    at n pivots; then one back-substitution in descending pivot order clears
-    each row in the pivot columns right of its own, against rows that are
-    already fully reduced, so no step brings a pivot column back.
-    """
-    echelon = {}
-    for row in rows:
-        if len(echelon) == n:
-            break
-        _echelon_add(field, echelon, row)
-    pivots = sorted(echelon)
-    for pc in reversed(pivots):
-        row = echelon[pc]
-        for c in [c for c in row if c != pc and c in echelon]:
-            _sub_scaled(field, row, row[c], echelon[c])
-    return {pc: echelon[pc] for pc in pivots}
 
 
 class Subspace:
@@ -129,8 +62,9 @@ class Subspace:
         the subspace to F^n greedily: e_k is taken when it lies outside the
         span of the rows and of the e_j taken before it."""
         F = self.field
-        echelon = dict(self.rows)
-        return [k for k in range(self.ambient_dim) if _echelon_add(F, echelon, {k: F.one})]
+        basis = {pc: dict(row) for pc, row in self.rows.items()}  # `_add_row` writes them
+        cols = {c for row in basis.values() for c in row}
+        return [k for k in range(self.ambient_dim) if _add_row(F, basis, cols, {k: F.one})]
 
     def contains(self, v) -> bool:
         """Whether the dense vector v lies in the subspace: v minus v[pc]
@@ -141,7 +75,7 @@ class Subspace:
         w = {c: x for c, x in enumerate(v) if not F.is_zero(x)}
         for pc, row in self.rows.items():
             if pc in w:
-                _sub_scaled(F, w, w[pc], row)
+                F.sub_scaled(w, w[pc], row)
         return not w
 
     def intersect(self, other: "Subspace") -> "Subspace":

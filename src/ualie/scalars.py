@@ -90,6 +90,19 @@ class Rationals:
     def inv(self, a):
         return self.div(self.one, a)
 
+    def sparse(self, row: dict) -> dict:
+        """A copy of the sparse row ``{column: scalar}`` without its zeros."""
+        return {c: x for c, x in row.items() if x}
+
+    def sub_scaled(self, v: dict, f, row: dict):
+        """v -= f * row on sparse rows, dropping entries that vanish."""
+        for j, y in row.items():
+            w = _q(v.get(j, 0) - f * y)
+            if w:
+                v[j] = w
+            else:
+                v.pop(j, None)
+
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -156,10 +169,26 @@ class PrimeField:
     def div(self, a, b):
         if b % self.p == 0:
             raise DivisionByZero(f"division by zero in F_{self.p}")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * pow(b, -1, self.p) % self.p
 
     def inv(self, a):
         return self.div(1, a)
+
+    def sparse(self, row: dict) -> dict:
+        """A copy of the sparse row ``{column: int}`` with its entries
+        reduced mod p and its zeros dropped; any integer row is accepted."""
+        p = self.p
+        return {c: x % p for c, x in row.items() if x % p}
+
+    def sub_scaled(self, v: dict, f, row: dict):
+        """v -= f * row on sparse rows, dropping entries that vanish."""
+        p = self.p
+        for j, y in row.items():
+            w = (v.get(j, 0) - f * y) % p
+            if w:
+                v[j] = w
+            else:
+                v.pop(j, None)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -217,15 +246,6 @@ def _poly_rem(a, b, p):
             a[shift + i] = (a[shift + i] - f * bc) % p
         _poly_trim(a)
     return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def _is_irreducible(poly, p: int) -> bool:
@@ -311,37 +331,29 @@ class ExtensionField:
         return tuple(out)
 
     def inv(self, a):
-        if all(c == 0 for c in a):
+        """a^(q-2) by square-and-multiply: the inverse, as a^(q-1) = 1."""
+        if self.is_zero(a):
             raise DivisionByZero(f"division by zero in F_{self.p}^{self.n}")
-        # extended Euclid in F_p[x]
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while rem and len(rem) >= len(r1):
-                f = rem[-1] * inv_lead % p
-                shift = len(rem) - len(r1)
-                q[shift] = f
-                for i, bc in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - f * bc) % p
-                _poly_trim(rem)
-            r0, r1 = r1, rem
-            qs1 = _poly_mul(q, s1, p) if q and s1 else []
-            new_s = [0] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] = c
-            for i, c in enumerate(qs1):
-                new_s[i] = (new_s[i] - c) % p
-            s0, s1 = s1, _poly_trim(new_s)
-        # r0 = gcd (a unit since modulus is irreducible); normalize
-        c = pow(r0[0], p - 2, p)
-        out = [x * c % p for x in s0]
-        out += [0] * (self.n - len(out))
-        return tuple(out[: self.n])
+        out, e = self.one, self.order - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def sparse(self, row: dict) -> dict:
+        """A copy of the sparse row ``{column: scalar}`` without its zeros."""
+        return {c: x for c, x in row.items() if any(x)}
+
+    def sub_scaled(self, v: dict, f, row: dict):
+        """v -= f * row on sparse rows, dropping entries that vanish."""
+        for j, y in row.items():
+            w = self.sub(v.get(j, self.zero), self.mul(f, y))
+            if self.is_zero(w):
+                v.pop(j, None)
+            else:
+                v[j] = w
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

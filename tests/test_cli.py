@@ -245,6 +245,21 @@ def test_seaweed_bad_composition(capsys):
     assert "composition" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("seaweed", "--n", "4", "--top", "3,3", "--bottom", "4"),
+     "(3, 3) is not a composition of 4"),
+    (("counterexample", "injection", "--builtin", "sl", "--n", "2"),
+     "every element is a sum of commutators; no functional kills [g,g] only"),
+    (("finite", "field", "--p", "4"), "4 is not prime"),
+    (("counterexample", "negcrit", "--builtin", "gl", "--n", "2", "--field", "Fq:2,2"),
+     "negative criterion implemented over Q and F_p"),
+])
+def test_refused_mathematical_input_is_an_input_error(capsys, argv, message):
+    """Well-formed flags whose values the library refuses exit 1 with one
+    `input error:` line and nothing on stdout."""
+    assert run_cli(capsys, *argv) == (1, "", f"input error: {message}\n")
+
+
 def test_counterexample_negcrit(capsys):
     code, out, _ = run_cli(capsys, "counterexample", "negcrit", "--builtin", "gl", "--n", "2")
     assert code == 0

@@ -1,14 +1,17 @@
-"""Integer kernels: Bareiss rank over Z, the sparse reducer mod p, and the
-lifted mod-p certificate, whose nullities must agree with Bareiss and fall
-back to it."""
+"""Integer kernels: Bareiss rank over Z, the one sparse reducer over any
+field, and the lifted mod-p certificate, whose nullities must agree with
+Bareiss and fall back to it."""
 
 import math
 import random
+import time
 
 from dense_rref import dense_rank
 
 from ualie import _kernels
-from ualie.scalars import QQ
+from ualie.scalars import QQ, PrimeField
+
+WITNESS_FIELD = _kernels.WITNESS_FIELD
 
 
 def _sparse(entries, rows, cols):
@@ -34,13 +37,13 @@ def test_int_rank_agrees_with_exact_rational_rank():
 def test_rank_mod_p_drops_on_bad_primes():
     # the integer matrix [[2]] has rank 1 over Q but rank 0 mod 2
     assert _kernels.int_rank([2], 1, 1) == 1
-    assert len(_kernels.rref_mod_p([{0: 2}], 1, 2)) == 0
-    assert len(_kernels.rref_mod_p([{0: 2}], 1, 3)) == 1
+    assert len(_kernels._rref(PrimeField(2), 1, [{0: 2}])) == 0
+    assert len(_kernels._rref(PrimeField(3), 1, [{0: 2}])) == 1
 
 
 def test_int_rank_is_exact_where_the_witness_prime_vanishes():
     p = _kernels.WITNESS_PRIME
-    assert len(_kernels.rref_mod_p([{0: p}, {1: p}], 2, p)) == 0
+    assert len(_kernels._rref(WITNESS_FIELD, 2, [{0: p}, {1: p}])) == 0
     assert _kernels.int_rank([p, 0, 0, p], 2, 2) == 2
     assert _kernels.int_kernel_dim([{0: p}, {1: p}], 2) == 0
 
@@ -169,13 +172,28 @@ def _sparse_rows(rng, count, cols):
     return rows
 
 
+def _assert_block_extends(F, cols, block_rows, new_rows):
+    """A block reduced once, and an extension reduced against it, give the
+    pivots and the span of one `_rref` over all rows; the extension is zero
+    in the block's pivot columns, and the block is left as it was."""
+    block = _kernels._rref(F, cols, block_rows)
+    before = {pc: dict(row) for pc, row in block.items()}
+    ext = _kernels._rref(F, cols, new_rows, block)
+    assert block == before
+    full = _kernels._rref(F, cols, block_rows + new_rows)
+    assert not set(block) & set(ext) and set(block) | set(ext) == set(full)
+    assert all(c not in block for row in ext.values() for c in row)
+    assert _kernels._rref(F, cols, [*block.values(), *ext.values()]) == full
+    return block, ext, full
+
+
 def test_a_reduced_block_extends_to_the_rref_of_all_rows(monkeypatch):
     """Rows split into a block, reduced once, and an extension reduced
-    against it give the pivots and the lifted kernel vectors of one
-    `rref_mod_p` over all rows, and leave the block as it was.  Some blocks
-    carry a row that vanishes mod p but not over Q, which only the exact
-    check against the block rows can see.  Every rejection by one lifted
-    vector agrees with Bareiss."""
+    against it give the pivots and the span of one `_rref` over all rows,
+    over Q, F_5 and the witness prime field; over the last, also its lifted
+    kernel vectors.  Some blocks carry a row that vanishes mod p but not
+    over Q, which only the exact check against the block rows can see.
+    Every rejection by one lifted vector agrees with Bareiss."""
     p = _kernels.WITNESS_PRIME
     rng = random.Random(7717)
     one_vector = fallbacks = 0
@@ -186,12 +204,10 @@ def test_a_reduced_block_extends_to_the_rref_of_all_rows(monkeypatch):
         block_rows, new_rows = rows[:cut], rows[cut:]
         if rng.random() < 0.3:
             block_rows.append({c: p * x for c, x in _sparse_rows(rng, 1, cols)[0].items()})
-        block = _kernels.reduce_block(block_rows, cols)[1]
-        before = {pc: dict(row) for pc, row in block.items()}
-        ext = _kernels.rref_mod_p(new_rows, cols, p, block)
-        assert block == before
-        full = _kernels.rref_mod_p(block_rows + new_rows, cols, p)
-        assert not set(block) & set(ext) and set(block) | set(ext) == set(full)
+        for F in (QQ, PrimeField(5)):  # integer rows are rows over both
+            _assert_block_extends(F, cols, block_rows, new_rows)
+        block, ext, full = _assert_block_extends(WITNESS_FIELD, cols, block_rows, new_rows)
+        assert _kernels.reduce_block(block_rows, cols)[1] == block
         assert list(_kernels._lifted_kernel(ext, cols, block)) == list(
             _kernels._lifted_kernel(full, cols)
         )
@@ -216,7 +232,7 @@ def test_the_exact_check_reads_the_block_rows():
     p = _kernels.WITNESS_PRIME
     block_rows, block = _kernels.reduce_block([{0: p}], 2)
     assert block == {}
-    ext = _kernels.rref_mod_p([{1: 1}], 2, p, block)
+    ext = _kernels._rref(WITNESS_FIELD, 2, [{1: 1}], block)
     assert list(_kernels._lifted_kernel(ext, 2, block)) == [(0, {0: 1})]
     assert _kernels.int_kernel_dim([{1: 1}], 2, (block_rows, block)) == 0
 
@@ -231,10 +247,10 @@ def test_c_condition_reduces_the_stage_2_block_once_on_sl7(monkeypatch):
 
     g = build_catalog("sl", QQ, n=7)
     reductions, lifts = [], []
-    rref, lifted = _kernels.rref_mod_p, _kernels._lifted_kernel
+    rref, lifted = _kernels._rref, _kernels._lifted_kernel
 
-    def spy_rref(int_rows, n, p, block=None):
-        out = rref(int_rows, n, p, block)
+    def spy_rref(field, n, rows, block=None):
+        out = rref(field, n, rows, block)
         reductions.append((block, out))
         return out
 
@@ -244,7 +260,7 @@ def test_c_condition_reduces_the_stage_2_block_once_on_sl7(monkeypatch):
             lifts[-1][1] += 1
             yield item
 
-    monkeypatch.setattr(_kernels, "rref_mod_p", spy_rref)
+    monkeypatch.setattr(_kernels, "_rref", spy_rref)
     monkeypatch.setattr(_kernels, "_lifted_kernel", spy_lifted)
     calls = _count_bareiss(monkeypatch)
     res = analysis.c_condition(g)
@@ -255,3 +271,14 @@ def test_c_condition_reduces_the_stage_2_block_once_on_sl7(monkeypatch):
     assert sum(out is blocks[0] for _, out in reductions) == 1
     assert [drawn for block, drawn in lifts if block] == [1] * 48
     assert calls == [(2 * g.dim, g.dim)]
+
+
+def test_certified_kernel_is_linear_on_singleton_rows():
+    """20,000 rows {i: 1}: no stored row meets a later pivot, so the
+    back-elimination scan never runs.  A scan per row makes this quadratic:
+    about 9 s on a shared 2-vCPU VM."""
+    n = 20_000
+    start = time.perf_counter()
+    pivots, kernel = _kernels.certified_kernel([{i: 1} for i in range(n)], n)
+    assert time.perf_counter() - start < 2.0
+    assert pivots == list(range(n)) and kernel == {}

@@ -78,11 +78,16 @@ def test_extension_field_f4():
     # x * x = x + 1 modulo the default irreducible x^2 + x + 1
     x = (0, 1)
     assert F.mul(x, x) == (1, 1)
-    # every nonzero element is invertible
-    for a in els:
-        if F.is_zero(a):
-            continue
-        assert F.mul(a, F.div(F.one, a)) == F.one
+    # every nonzero element of F_4, F_8, F_9, F_25 and F_27 has as inverse
+    # the one element b with a * b = 1, found by search
+    for p, n in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3)):
+        F = ExtensionField(p, n)
+        els = list(F.elements())
+        for a in els:
+            if F.is_zero(a):
+                continue
+            inverses = [b for b in els if F.mul(a, b) == F.one]
+            assert inverses == [F.inv(a)] == [F.div(F.one, a)], (F, a)
 
 
 def test_extension_field_f9_axioms_random():
