@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _kernels, finite
+from . import _kernels
 from .constructions import SeaweedSpec, build_example_5_7, build_seaweed
 from .errors import (
     HypothesesNotMet,
@@ -711,6 +711,8 @@ def verdict(
             )
         return report
     # over F_p only obstructions can be certified: exhaustive search on small rings
+    from . import finite  # imported here: no Q verdict needs it
+
     order = F.order**g.dim
     if order <= finite.ENUM_CAP:
         wua, example = finite.is_wua(finite.from_algebra(g))

@@ -3,9 +3,11 @@
 Everything here works on full operation tables, so ℤ/4-style rings that are
 not algebras over any field are first-class.  The bijection search is the
 oracle the rest of the package is measured against: it enumerates every
-commutator-preserving bijection between two rings by backtracking, assigning
-images most-constrained-element-first and propagating forced images (if
-alpha(x) and alpha(y) are fixed then alpha([x,y]) has no choice).
+commutator-preserving bijection between two rings by backtracking on one
+explicit stack.  It branches on the element with the most bracket partners
+already assigned, scored from a per-element partner bitmask, and closes each
+choice under forced images (if alpha(x) and alpha(y) are fixed then
+alpha([x,y]) has no choice), checking each pair of assigned elements once.
 """
 
 from __future__ import annotations
@@ -224,81 +226,106 @@ def klein_ring() -> FiniteLieRing:
 def _enumerate_bijections(r: FiniteLieRing, s: FiniteLieRing):
     """Yield every bijection alpha with alpha(0)=0 preserving commutators.
 
-    Backtracking with forced-image propagation: once alpha(x) and alpha(a)
-    are both set, alpha([x,a]) and alpha([a,x]) are forced; contradictions
-    prune the branch.  The next element to assign is the unassigned one with
-    the most nonzero bracket constraints against already-assigned elements
-    (ties broken by label).  Yielded tuples are complete and consistent.
+    Backtracking on one explicit stack of frames [x, next image to try for
+    x, mark]: ``assigned[mark:]`` is the trail of the current choice for x,
+    undone before the next image is tried.  A frame branches on the
+    unassigned element with the most bracket partners already assigned,
+    ``(partner[x] & mask).bit_count()``, ties to the lowest label; bit a of
+    ``partner[x]`` is set when [x,a] or [a,x] is nonzero.  After a choice,
+    each newly assigned element u is checked once against every element
+    assigned before it and against itself, on both [u,a] and [a,u]: an unset
+    image is forced, a clash prunes the branch.  The forced closure does not
+    depend on the order of these checks, so the maps come out complete,
+    consistent and in branching order.
     """
     N = r.order
     if N != s.order:
         raise OrderMismatch(f"orders differ: {N} vs {s.order}")
+    if N == 1:
+        yield (0,)
+        return
     rbrk, sbrk = r.bracket, s.bracket
-    alpha: list = [None] * N
+    rcol, scol = list(zip(*rbrk)), list(zip(*sbrk))
+    partner = []
+    for row, col in zip(rbrk, rcol):
+        bits = 0
+        if any(row) or any(col):
+            for a in range(N):
+                if row[a] or col[a]:
+                    bits |= 1 << a
+        partner.append(bits)
+    alpha = [-1] * N
     used = [False] * N
     alpha[0] = 0
     used[0] = True
     assigned = [0]
-
-    def undo(trail):
-        for c in trail:
+    mask = 1
+    stack = [[_most_constrained(alpha, partner, mask), 0, 1]]
+    while stack:
+        frame = stack[-1]
+        x, y, mark = frame
+        for c in assigned[mark:]:
             used[alpha[c]] = False
-            alpha[c] = None
-            assigned.pop()
-
-    def pick_next():
-        best, best_score = -1, -1
-        for x in range(N):
-            if alpha[x] is not None:
-                continue
-            score = 0
-            for a in assigned:
-                if rbrk[x][a] != 0 or rbrk[a][x] != 0:
-                    score += 1
-            if score > best_score:
-                best, best_score = x, score
-        return best
-
-    def search():
+            alpha[c] = -1
+            mask &= ~(1 << c)
+        del assigned[mark:]
+        while y < N and used[y]:
+            y += 1
+        if y == N:
+            stack.pop()
+            continue
+        frame[1] = y + 1
+        alpha[x] = y
+        used[y] = True
+        assigned.append(x)
+        qi, ok = mark, True
+        while ok and qi < len(assigned):
+            u = assigned[qi]
+            au = alpha[u]
+            ru, rcu, su, scu = rbrk[u], rcol[u], sbrk[au], scol[au]
+            qi += 1
+            for a in assigned[:qi]:
+                aa = alpha[a]
+                c, t = ru[a], su[aa]
+                ac = alpha[c]
+                if ac == t and alpha[rcu[a]] == scu[aa]:
+                    continue
+                # the two pairs are unrolled: a loop over them slows the forced cascades
+                if ac != t:
+                    if ac >= 0 or used[t]:
+                        ok = False
+                        break
+                    alpha[c] = t
+                    used[t] = True
+                    assigned.append(c)
+                c, t = rcu[a], scu[aa]
+                ac = alpha[c]
+                if ac != t:
+                    if ac >= 0 or used[t]:
+                        ok = False
+                        break
+                    alpha[c] = t
+                    used[t] = True
+                    assigned.append(c)
+        if not ok:
+            continue
         if len(assigned) == N:
             yield tuple(alpha)
-            return
-        x = pick_next()
-        for y in range(N):
-            if used[y]:
-                continue
-            alpha[x] = y
-            used[y] = True
-            assigned.append(x)
-            trail = [x]
-            if propagate(len(assigned) - 1, trail):
-                yield from search()
-            undo(trail)
+            continue
+        for c in assigned[mark:]:
+            mask |= 1 << c
+        stack.append([_most_constrained(alpha, partner, mask), 0, len(assigned)])
 
-    def propagate(qi, trail):
-        while qi < len(assigned):
-            x = assigned[qi]
-            qi += 1
-            ax = alpha[x]
-            for a in list(assigned):
-                aa = alpha[a]
-                for c, t in (
-                    (rbrk[x][a], sbrk[ax][aa]),
-                    (rbrk[a][x], sbrk[aa][ax]),
-                ):
-                    ac = alpha[c]
-                    if ac is None:
-                        if used[t]:
-                            return False
-                        alpha[c] = t
-                        used[t] = True
-                        assigned.append(c)
-                        trail.append(c)
-                    elif ac != t:
-                        return False
-        return True
 
-    yield from search()
+def _most_constrained(alpha, partner, mask):
+    """The unassigned x with the most partners in ``mask``, ties to the lowest."""
+    best, best_score = -1, -1
+    for x in range(len(alpha)):
+        if alpha[x] < 0:
+            score = (partner[x] & mask).bit_count()
+            if score > best_score:
+                best, best_score = x, score
+    return best
 
 
 def verify_bijection(r: FiniteLieRing, s: FiniteLieRing, alpha) -> bool:

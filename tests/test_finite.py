@@ -5,14 +5,30 @@ import random
 
 import pytest
 
+from bijection_oracle import _enumerate_bijections as oracle_search
 from ualie import finite as fin
-from ualie.constructions import build_catalog
+from ualie.constructions import build_catalog, direct_sum
 from ualie.errors import CapExceeded, HypothesesNotMet, InvalidStructure
 from ualie.scalars import QQ, PrimeField
 
 
 def heis_ring(p):
     return fin.from_algebra(build_catalog("heisenberg", PrimeField(p), k=1))
+
+
+def relabel(base, rng):
+    """``base`` conjugated by a seeded permutation that fixes 0."""
+    n = base.order
+    perm = list(range(1, n))
+    rng.shuffle(perm)
+    perm = [0] + perm  # keep 0 fixed so tables stay well-formed
+    inv = [0] * n
+    for i, x in enumerate(perm):
+        inv[x] = i
+    add = [[perm[base.add[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+    neg = [perm[base.neg[inv[a]]] for a in range(n)]
+    br = [[perm[base.bracket[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+    return fin.FiniteLieRing(f"{base.name} relabelled", n, add, neg, br)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +126,80 @@ def test_bijections_actually_preserve_commutators():
     for alpha in samples:
         assert fin.verify_bijection(r, r, alpha)
         assert sorted(alpha) == list(range(8))
+
+
+def _oracle_rings():
+    F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+    rings = [fin.cyclic_ring(m) for m in range(1, 9)] + [fin.klein_ring()]
+    for family, field, params in (
+        ("heisenberg", F2, {"k": 1}), ("abelian", F2, {"d": 3}), ("sl", F2, {"n": 2}),
+        ("t", F2, {"n": 2}), ("n", F2, {"n": 3}), ("sl", F3, {"n": 2}), ("s2", F3, {}),
+        ("s2", F5, {}),
+    ):
+        rings.append(fin.from_algebra(build_catalog(family, field, **params)))
+    t2 = direct_sum(build_catalog("t", F2, n=2), build_catalog("abelian", F2, d=1))
+    return rings, fin.from_algebra(t2)
+
+
+def _search_run(monkeypatch, search, r, s):
+    """The maps ``search`` yields from r to s, and what the package's three
+    consumers of the search return when it runs in their place."""
+    maps = []
+
+    def recorded(r_, s_):
+        for alpha in search(r_, s_):
+            maps.append(alpha)
+            yield alpha
+
+    monkeypatch.setattr(fin, "_enumerate_bijections", recorded)
+    outputs = [fin.commutator_bijections(r, s, limit=4)]  # consumes every map
+    yielded = list(maps)
+    outputs.append(fin.ua_against(r, s))
+    if r is s:
+        outputs.append(fin.is_wua(r))
+    return yielded, outputs
+
+
+def test_search_yields_the_recursive_oracles_maps_in_its_order(monkeypatch):
+    """The iterative search branches like the recursive one it replaced
+    (``tests/bijection_oracle.py``), so both must yield the same maps in the
+    same order: on every equal-order pair of the rings below, on seeded
+    relabellings of each ring with a nonzero bracket but t(2)+F_2 (its
+    41,472 maps take over a second per search), and onto a target whose
+    bracket is not alternating and one whose bracket is not antisymmetric,
+    which only the check of [a,x] beside [x,a] rejects.  The search reads
+    only the bracket tables, so relabelling a ring with the zero bracket
+    would repeat a pair.
+    ``commutator_bijections``, ``ua_against`` and ``is_wua`` must return the
+    same with either search in place."""
+    search = fin._enumerate_bijections
+    rings, t2 = _oracle_rings()
+    rng = random.Random(13)
+    pairs = [(r, s) for r in rings + [t2] for s in rings + [t2] if r.order == s.order]
+    for r in (r for r in rings if any(map(any, r.bracket))):
+        pairs += [(relabel(r, rng), r), (r, relabel(r, rng))]
+        relabelled = relabel(r, rng)
+        pairs.append((relabelled, relabelled))
+    for r, (y, z, v) in ((heis_ring(2), (3, 3, 4)), (fin.cyclic_ring(4), (1, 2, 3))):
+        bracket = [row[:] for row in r.bracket]
+        bracket[y][z] = v  # [y,y] != 0, or [y,z] != -[z,y]
+        pairs.append((r, fin.FiniteLieRing("odd target", r.order, r.add, r.neg, bracket)))
+    for r, s in pairs:
+        got = _search_run(monkeypatch, search, r, s)
+        want = _search_run(monkeypatch, oracle_search, r, s)
+        assert got == want, (r.name, s.name)
+
+
+def test_a_target_with_a_nonzero_self_bracket_admits_no_map():
+    """Z/4 onto Z/4 with [1,1] = 2: every pair of distinct elements
+    brackets to 0 on both sides, so only the check of an element against
+    itself rejects the maps that send some x to 1."""
+    z4 = fin.cyclic_ring(4)
+    bracket = [row[:] for row in z4.bracket]
+    bracket[1][1] = 2
+    target = fin.FiniteLieRing("Z/4, [1,1]=2", 4, z4.add, z4.neg, bracket)
+    assert list(fin._enumerate_bijections(z4, target)) == []
+    assert fin.commutator_bijections(z4, target) == (0, [])
 
 
 def test_cross_ring_enumeration_rejects_mismatched_orders():
@@ -263,19 +353,8 @@ def test_random_relabelling_preserves_bijection_count():
     """Conjugating a ring by a random permutation must not change how many
     commutator-preserving self-bijections it has."""
     rng = random.Random(20_26)
-    base = fin.klein_ring()
-    n = base.order
     for _ in range(5):
-        perm = list(range(1, n))
-        rng.shuffle(perm)
-        perm = [0] + perm  # keep 0 fixed so tables stay well-formed
-        inv = [0] * n
-        for i, x in enumerate(perm):
-            inv[x] = i
-        add = [[perm[base.add[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
-        neg = [perm[base.neg[inv[a]]] for a in range(n)]
-        br = [[perm[base.bracket[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
-        r = fin.FiniteLieRing("relabel", n, add, neg, br)
+        r = relabel(fin.klein_ring(), rng)
         assert r.validate().ok
         assert fin.commutator_bijections(r)[0] == 6
 
