@@ -166,6 +166,25 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
         assert err.startswith("input error:") and "Traceback" not in err, (argv, err)
 
 
+def test_ring_file_failing_an_axiom_is_refused_and_named(capsys, tmp_path):
+    """A ring file that breaks one axiom exits 1 with its first failure:
+    ℤ/4 with 1+2 = 1 keeps + commutative with inverses but not associative,
+    and ℤ/4 with [x,y] = 2xy has a biadditive antisymmetric bracket with
+    [1,1] != 0."""
+    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    bad_add = [row[:] for row in z4]
+    bad_add[1][2] = bad_add[2][1] = 1
+    zero = [[0] * 4 for _ in range(4)]
+    for add, bracket, message in (
+        (bad_add, zero, "addition not associative at (1,1,2)"),
+        (z4, [[2 * a * b % 4 for b in range(4)] for a in range(4)], "[x,x] != 0 at 1"),
+    ):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"order": 4, "add": add, "bracket": bracket}))
+        assert run_cli(capsys, "finite", "wua", str(path)) == (
+            1, "", f"input error: {path}: {message}\n")
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: every write and flush raises
     `BrokenPipeError`.  Its descriptor is a file the test owns."""
@@ -313,8 +332,8 @@ def test_finite_ring_file(capsys, tmp_path):
 
 
 def test_finite_oversize_ring_fails_before_tables(capsys, tmp_path, monkeypatch):
-    """Past the enumeration cap, neither the z<m> tables nor the O(N^3)
-    axiom check of a ring file is built before the refusal."""
+    """Past the enumeration cap, neither the z<m> tables nor the axiom
+    check of a ring file is built before the refusal."""
     from ualie import finite as fin
 
     path = tmp_path / "z33.json"

