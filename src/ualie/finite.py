@@ -62,98 +62,96 @@ class FiniteLieRing:
 
     def validate(self) -> FiniteValidation:
         """Axiom check: abelian group, ℤ-bilinear alternating bracket, Jacobi.
-        `_axioms_hold` decides acceptance exactly; a ring it rejects gets the
-        exhaustive O(N^3) scan, which names up to 8 failures in a fixed order."""
-        if self._axioms_hold():
-            return FiniteValidation(True, [])
+
+        Names up to 8 failures, in the order of an exhaustive scan.  Each of
+        its O(N^3) blocks (associativity, left additivity, Jacobi) is skipped
+        when nothing has failed before it and the block's check on the
+        generating set S of `_generators` passes.  The s with (x+s)+y =
+        x+(s+y) for all x, y are closed under + (Light's test), and in an
+        abelian group so are the s with [a+s,c] = [a,c]+[s,c]; antisymmetry
+        then makes the bracket biadditive and the Jacobiator triadditive, so
+        Jacobi on S^3 suffices.  A valid ring costs O(|S|·N^2) table lookups.
+        """
+        if not self.well_formed():
+            return FiniteValidation(False, ["tables malformed (shape or out-of-range entry)"])
         fails: list = []
 
         def note(msg):
             if len(fails) < 8:
                 fails.append(msg)
 
-        if not self.well_formed():
-            return FiniteValidation(False, ["tables malformed (shape or out-of-range entry)"])
         N, add, neg, brk = self.order, self.add, self.neg, self.bracket
+        rows, cols = list(map(tuple, add)), list(zip(*add))
         for a in range(N):
             if add[a][0] != a:
                 note(f"0 is not neutral at {a}")
             if add[a][neg[a]] != 0:
                 note(f"neg({a}) is not an inverse")
-            for b in range(N):
-                if add[a][b] != add[b][a]:
-                    note(f"addition not commutative at ({a},{b})")
-        for a in range(N):
-            for b in range(N):
-                ab = add[a][b]
-                for c in range(N):
-                    if add[ab][c] != add[a][add[b][c]]:
-                        note(f"addition not associative at ({a},{b},{c})")
-                        break
+            if rows[a] != cols[a]:
+                for b in range(N):
+                    if add[a][b] != add[b][a]:
+                        note(f"addition not commutative at ({a},{b})")
+        gens = None if fails else self._generators()
+        plus = [itemgetter(*add[s]) for s in gens or ()]  # plus[i](v) = (v[s+y])_y, s = gens[i]
+        # (x + (s+y))_y against ((x+s) + y)_y; past this block, fails is empty
+        # exactly when gens is a generating set and + is associative
+        if gens is None or any(s_plus(add[x]) != rows[add[x][s]]
+                               for s, s_plus in zip(gens, plus) for x in range(N)):
+            for a in range(N):
+                for b in range(N):
+                    ab = add[a][b]
+                    for c in range(N):
+                        if add[ab][c] != add[a][add[b][c]]:
+                            note(f"addition not associative at ({a},{b},{c})")
+                            break
+        bcols = list(zip(*brk))
         for a in range(N):
             if brk[a][a] != 0:
                 note(f"[x,x] != 0 at {a}")
-            for b in range(N):
-                if brk[a][b] != neg[brk[b][a]]:
-                    note(f"bracket not antisymmetric at ({a},{b})")
-        for a in range(N):
-            for b in range(N):
-                ab = add[a][b]
-                for c in range(N):
-                    if brk[ab][c] != add[brk[a][c]][brk[b][c]]:
-                        note(f"bracket not additive in the left slot at ({a},{b},{c})")
-                        break
-        for a in range(N):
-            for b in range(N):
-                for c in range(N):
-                    j = add[add[brk[brk[a][b]][c]][brk[brk[b][c]][a]]][brk[brk[c][a]][b]]
-                    if j != 0:
-                        note(f"Jacobi fails at ({a},{b},{c})")
-                        break
+            if list(map(neg.__getitem__, bcols[a])) != brk[a]:
+                for b in range(N):
+                    if brk[a][b] != neg[brk[b][a]]:
+                        note(f"bracket not antisymmetric at ({a},{b})")
+        col_at = [] if fails else [itemgetter(*col) for col in bcols]
+        if fails or any(s_plus(col) != at(add[t])  # ([s+a,c])_a against ([s,c] + [a,c])_a
+                        for s, s_plus in zip(gens, plus)
+                        for col, at, t in zip(bcols, col_at, brk[s])):
+            for a in range(N):
+                for b in range(N):
+                    ab = add[a][b]
+                    for c in range(N):
+                        if brk[ab][c] != add[brk[a][c]][brk[b][c]]:
+                            note(f"bracket not additive in the left slot at ({a},{b},{c})")
+                            break
+        if fails or any(add[add[brk[brk[a][b]][c]][brk[brk[b][c]][a]]][brk[brk[c][a]][b]]
+                        for a in gens for b in gens for c in gens):
+            for a in range(N):
+                for b in range(N):
+                    for c in range(N):
+                        j = add[add[brk[brk[a][b]][c]][brk[brk[b][c]][a]]][brk[brk[c][a]][b]]
+                        if j != 0:
+                            note(f"Jacobi fails at ({a},{b},{c})")
+                            break
         return FiniteValidation(not fails, fails)
 
-    def _axioms_hold(self) -> bool:
-        """True iff the exhaustive scan of `validate` finds no failure.
-
-        With 0 neutral, inverses and + commuting, S takes the smallest labels
-        outside the +-span of the earlier ones.  The s with (x+s)+y = x+(s+y)
-        for all x, y are closed under + (Light's test), and then so are the s
-        with [a+s,c] = [a,c]+[s,c]: checked on S, + is associative and the
-        bracket additive on the left, biadditive by antisymmetry, with a
-        triadditive Jacobiator, so Jacobi on S^3 suffices.  O(|S|·N^2) table
-        lookups, with |S| <= log2 N for a group.
-        """
-        if not self.well_formed():
-            return False
-        N, add, neg, brk = self.order, self.add, self.neg, self.bracket
-        rows = list(map(tuple, add))
-        if [row[0] for row in add] != list(range(N)) or any(map(getitem, add, neg)) \
-                or list(zip(*add)) != rows:
-            return False
-        gens, span, seen = [], [0], [True] + [False] * (N - 1)
-        for g in range(1, N):
+    def _generators(self):
+        """The smallest labels outside the +-span of the earlier ones, or None
+        once one fails to double the span, as no group allows: a generating
+        set of (R,+) with at most log2 N elements.  O(N log N) lookups."""
+        add = self.add
+        gens, span, seen = [], [0], [True] + [False] * (self.order - 1)
+        for g in range(1, self.order):
             if not seen[g]:
                 gens.append(g)
-                layer = span  # span + g, span + 2g, ...: each label marked is a sum of gens
-                while layer:
-                    layer = [y for y in (add[x][g] for x in layer) if not seen[y]]
-                    for y in layer:
+                before = len(span)
+                for x in span:  # span grows as it goes: it ends closed under + g
+                    y = add[x][g]
+                    if not seen[y]:
                         seen[y] = True
-                    span = span + layer
-        plus = [itemgetter(*add[s]) for s in gens]  # plus[i](v) = (v[s+y])_y for s = gens[i]
-        for s, s_plus in zip(gens, plus):  # (x + (s+y))_y against ((x+s) + y)_y
-            if any(s_plus(add[x]) != rows[add[x][s]] for x in range(N)):
-                return False
-        cols = list(zip(*brk))
-        if any(map(getitem, brk, range(N))) or any(
-                list(map(neg.__getitem__, col)) != row for row, col in zip(brk, cols)):
-            return False
-        col_at = [itemgetter(*col) for col in cols]
-        for s, s_plus in zip(gens, plus):  # ([s+a,c])_a against ([s,c] + [a,c])_a
-            if any(s_plus(col) != at(add[t]) for col, at, t in zip(cols, col_at, brk[s])):
-                return False
-        return not any(add[add[brk[brk[a][b]][c]][brk[brk[b][c]][a]]][brk[brk[c][a]][b]]
-                       for a in gens for b in gens for c in gens)
+                        span.append(y)
+                if len(span) < 2 * before:
+                    return None
+        return gens
 
     # -- substructures ----------------------------------------------------
 
@@ -227,7 +225,8 @@ def from_algebra(g) -> FiniteLieRing:
     row i of the addition table is row i' shifted by e_k, and row i of the
     bracket table adds rows i' and e_k entrywise.  The rows e_k come from
     the dim^2 basis brackets by additivity in the second slot.  That is
-    O(N^2) table lookups; the tables are then axiom-checked.
+    O(N^2) table lookups.  Structure constants that fail Jacobi on the basis
+    are refused before any table is built; the tables are then axiom-checked.
     """
     F = g.field
     if F.kind != "Fp":
@@ -236,6 +235,10 @@ def from_algebra(g) -> FiniteLieRing:
     N = p**dim
     if N > FROM_ALGEBRA_CAP:
         raise CapExceeded(f"ring order {N} exceeds cap {FROM_ALGEBRA_CAP}")
+    rep = g.validate()
+    if not rep.ok:
+        i, j, k, _ = rep.first_failure()
+        raise InvalidStructure(f"Jacobi identity fails at basis triple ({i},{j},{k})")
     low = [(0, 0)] + [next((i - p**k, k) for k in range(dim) if i // p**k % p)
                       for i in range(1, N)]  # low[i] = (i', k)
     shift = [[x - (p - 1) * p**k if x // p**k % p == p - 1 else x + p**k for x in range(N)]

@@ -170,7 +170,8 @@ def test_ring_file_failing_an_axiom_is_refused_and_named(capsys, tmp_path):
     """A ring file that breaks one axiom exits 1 with its first failure:
     ℤ/4 with 1+2 = 1 keeps + commutative with inverses but not associative,
     and ℤ/4 with [x,y] = 2xy has a biadditive antisymmetric bracket with
-    [1,1] != 0."""
+    [1,1] != 0.  The order-32 table a+b = max(a,b), a+a = 0, has no row
+    past 0 that permutes the labels, and is refused as quickly."""
     z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     bad_add = [row[:] for row in z4]
     bad_add[1][2] = bad_add[2][1] = 1
@@ -178,9 +179,11 @@ def test_ring_file_failing_an_axiom_is_refused_and_named(capsys, tmp_path):
     for add, bracket, message in (
         (bad_add, zero, "addition not associative at (1,1,2)"),
         (z4, [[2 * a * b % 4 for b in range(4)] for a in range(4)], "[x,x] != 0 at 1"),
+        ([[max(a, b) if a != b else 0 for b in range(32)] for a in range(32)],
+         [[0] * 32 for _ in range(32)], "addition not associative at (1,2,2)"),
     ):
         path = tmp_path / "ring.json"
-        path.write_text(json.dumps({"order": 4, "add": add, "bracket": bracket}))
+        path.write_text(json.dumps({"order": len(add), "add": add, "bracket": bracket}))
         assert run_cli(capsys, "finite", "wua", str(path)) == (
             1, "", f"input error: {path}: {message}\n")
 

@@ -144,11 +144,34 @@ def _random_algebra(rng, p, dim):
     return StructureConstantAlgebra(f"random{dim}", PrimeField(p), dim, brackets=brackets)
 
 
+def _max_table(n):
+    """a + b = max(a, b) for a != b and a + a = 0: 0 is neutral, each element
+    is its own inverse and + commutes, but no row past 0 is a permutation."""
+    return [[max(a, b) if a != b else 0 for b in range(n)] for a in range(n)]
+
+
+def _loop_table(rng, n):
+    """A commutative addition on 0..n-1 with 0 neutral and one zero per row
+    (inverses paired at random), every other entry a random nonzero label."""
+    neg, labels = [0] * n, rng.sample(range(1, n), n - 1)
+    while labels:
+        a = labels.pop()
+        b = labels.pop() if labels and rng.random() < 0.5 else a
+        neg[a], neg[b] = b, a
+    add = [list(range(n))] + [[0] * n for _ in range(n - 1)]
+    for a in range(1, n):
+        add[a][0] = a
+        for b in range(a, n):
+            add[a][b] = add[b][a] = 0 if b == neg[a] else rng.randrange(1, n)
+    return add
+
+
 def _corrupted_rings(rng):
     """(family, ring) pairs on which the exhaustive scan and the check from
     generators must agree: edits of relabelled menu rings, swapped bracket
     tables, rings that fail one axiom alone (alternating or commutative),
-    and unvalidated expansions of random structure constants."""
+    additions whose rows are not permutations, and unvalidated expansions
+    of random structure constants."""
     rings, t2 = _oracle_rings()
     rings = [r for r in rings + [t2] if 2 < r.order <= 16]  # 27 and 25 cost 10 ms a scan
     copy = lambda rows: [row[:] for row in rows]  # noqa: E731
@@ -188,6 +211,12 @@ def _corrupted_rings(rng):
     s3 = fin.FiniteLieRing("S_3", 6, s3, [row.index(0) for row in s3], [[0] * 6] * 6)
     for _ in range(20):
         yield "near miss", relabel(s3, rng)
+    for _ in range(300):  # 0 neutral, inverses and + commuting; rows need not permute
+        n = rng.randrange(3, 17)
+        add = _loop_table(rng, n) if rng.random() < 0.9 else _max_table(n)
+        r = rng.choice([r for r in rings if r.order == n] or [fin.cyclic_ring(n)])
+        yield "non-permutation add", relabel(fin.FiniteLieRing(
+            "loop", n, add, [row.index(0) for row in add], r.bracket), rng)
     shapes = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))  # (p, dim)
     for _ in range(1500):  # biadditive by construction: Jacobi decides
         p, dim = rng.choices(shapes, weights=(4, 5, 5, 4, 1))[0]
@@ -207,6 +236,34 @@ def test_validate_agrees_with_the_exhaustive_oracle():
         valid += want.ok
         late += not want.ok and not any(w in f for f in want.failures for w in group)
     assert valid >= 1000 and late >= 1000, (valid, late)
+
+
+def test_a_non_group_addition_of_order_32_is_refused_in_time():
+    """`_max_table(32)` passes every group axiom but associativity, and each
+    label 1..31 lies outside the +-span of the smaller ones.  `validate`
+    names the oracle's failures in well under a second; counting a label of
+    the span once per sum that reaches it would make the span 2^31 long."""
+    n = 32
+    ring = fin.FiniteLieRing("max", n, _max_table(n), list(range(n)), [[0] * n] * n)
+    start = time.perf_counter()
+    got = ring.validate()
+    assert time.perf_counter() - start < 1.0
+    want = finite_oracle.validate(ring)
+    assert not want.ok and (got.ok, got.failures) == (want.ok, want.failures)
+
+
+def test_from_algebra_refuses_structure_constants_failing_jacobi_before_expanding():
+    """Random alternating structure constants on F_2^7 that fail Jacobi are
+    refused from the basis, at a cost that does not grow with the order."""
+    rng = random.Random(14)
+    g = _random_algebra(rng, 2, 7)
+    while g.validate().ok:
+        g = _random_algebra(rng, 2, 7)
+    i, j, k, _ = g.validate().first_failure()
+    start = time.perf_counter()
+    with pytest.raises(InvalidStructure, match=rf"basis triple \({i},{j},{k}\)"):
+        fin.from_algebra(g)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_large_expansions_build_and_validate_in_seconds():
