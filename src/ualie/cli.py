@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import analysis, constructions, finite
+from . import analysis, constructions
 from .errors import UalieError
 from .liecore import StructureConstantAlgebra
 from .rng import DEFAULT_SEED, MASK64
@@ -98,9 +98,11 @@ def _resolve_algebra(args, field) -> StructureConstantAlgebra:
 _FINITE_BUILTINS = ("klein", "z<m>", "heisenberg_f2", "heisenberg_f3")
 
 
-def _load_ring(source: str) -> finite.FiniteLieRing:
+def _load_ring(source: str):
     """A builtin or file ring, refused before its tables are built or
     checked when its order is past the enumeration cap."""
+    from . import finite  # imported here: only the finite commands need it
+
     if source == "klein":
         return finite.klein_ring()
     if source.startswith("z") and source[1:].isdigit():
@@ -211,6 +213,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_finite(args) -> int:
+    from . import finite
+
     if args.mode == "wua":
         ring = _load_ring(args.ring)
         wua, counterexample = finite.is_wua(ring)

@@ -10,7 +10,10 @@ between two rings by backtracking on one explicit stack.  It branches on the
 element with the most bracket partners already assigned, scored from a
 per-element partner bitmask, and closes each choice under forced images (if
 alpha(x) and alpha(y) are fixed then alpha([x,y]) has no choice), checking
-each pair of assigned elements once.
+each pair of assigned elements once.  Counting skips one symmetry: the free
+central elements (zero bracket row and column, no bracket value) may be
+permuted freely, so the count enumerates the maps that send them onto the
+target's in increasing order and multiplies by the factorial of their number.
 """
 
 from __future__ import annotations
@@ -285,8 +288,9 @@ def klein_ring() -> FiniteLieRing:
 # bijection enumeration
 
 
-def _enumerate_bijections(r: FiniteLieRing, s: FiniteLieRing):
-    """Yield every bijection alpha with alpha(0)=0 preserving commutators.
+def _enumerate_bijections(r: FiniteLieRing, s: FiniteLieRing, fixed=()):
+    """Yield every bijection alpha with alpha(0)=0 preserving commutators
+    that sends x to y for each pair (x, y) of ``fixed``.
 
     Backtracking on one explicit stack of frames [x, next image to try for
     x, mark]: ``assigned[mark:]`` is the trail of the current choice for x,
@@ -299,12 +303,25 @@ def _enumerate_bijections(r: FiniteLieRing, s: FiniteLieRing):
     image is forced, a clash prunes the branch.  The forced closure does not
     depend on the order of these checks, so the maps come out complete,
     consistent and in branching order.
+
+    The pairs of ``fixed`` are assigned before the first frame and checked
+    against each later choice, but not against 0, themselves or each
+    other: pairs of free central elements (see `_free_central`) need no
+    such check, since every bracket with them is 0 on both sides.
     """
     N = r.order
     if N != s.order:
         raise OrderMismatch(f"orders differ: {N} vs {s.order}")
-    if N == 1:
-        yield (0,)
+    alpha = [-1] * N
+    used = [False] * N
+    alpha[0] = 0
+    used[0] = True
+    for x, y in fixed:
+        alpha[x] = y
+        used[y] = True
+    assigned = [0, *(x for x, _ in fixed)]
+    if len(assigned) == N:
+        yield tuple(alpha)
         return
     rbrk, sbrk = r.bracket, s.bracket
     rcol, scol = list(zip(*rbrk)), list(zip(*sbrk))
@@ -316,13 +333,12 @@ def _enumerate_bijections(r: FiniteLieRing, s: FiniteLieRing):
                 if row[a] or col[a]:
                     bits |= 1 << a
         partner.append(bits)
-    alpha = [-1] * N
-    used = [False] * N
-    alpha[0] = 0
-    used[0] = True
-    assigned = [0]
-    mask = 1
-    stack = [[_most_constrained(alpha, partner, mask), 0, 1]]
+    mask = 0
+    for c in assigned:
+        mask |= 1 << c
+    # the trail of the first frame starts past the pre-assigned pairs, so
+    # backtracking never undoes them
+    stack = [[_most_constrained(alpha, partner, mask), 0, len(assigned)]]
     while stack:
         frame = stack[-1]
         x, y, mark = frame
@@ -390,6 +406,14 @@ def _most_constrained(alpha, partner, mask):
     return best
 
 
+def _free_central(r: FiniteLieRing) -> list:
+    """Z_0(r) in increasing order: the nonzero x that are no bracket value
+    [a,b] and have [x,a] = [a,x] = 0 for every a.  One O(N^2) scan."""
+    values = set(chain.from_iterable(r.bracket))
+    return [x for x, row, col in zip(range(r.order), r.bracket, zip(*r.bracket))
+            if x and x not in values and not any(row) and not any(col)]
+
+
 def verify_bijection(r: FiniteLieRing, s: FiniteLieRing, alpha) -> bool:
     """Full pairwise check that alpha preserves commutators."""
     N = r.order
@@ -418,19 +442,33 @@ def require_enumerable(order: int) -> None:
 
 def commutator_bijections(r: FiniteLieRing, s: FiniteLieRing | None = None,
                           limit: int = 4):
-    """Count all commutator-preserving bijections r -> s; keep ``limit`` tables."""
+    """Count all commutator-preserving bijections r -> s; keep ``limit`` tables.
+
+    A commutator-preserving alpha with alpha(0) = 0 sends the elements with
+    zero bracket row and column onto the target's, and the bracket values
+    onto the target's, so it sends Z_0(r) onto Z_0(s) (`_free_central`).
+    Composing alpha with any permutation of Z_0(r) preserves commutators
+    again, as every bracket with an element of Z_0(r) is 0 and no bracket
+    value lies in it.  So only the maps that send Z_0(r) onto Z_0(s) in
+    increasing order are enumerated, and their number is multiplied by
+    |Z_0|!; the count is 0 when |Z_0(r)| != |Z_0(s)|.  Antisymmetry is not
+    assumed.  The samples are the first ``limit`` of those increasing maps.
+    """
     if s is None:
         s = r
     if r.order != s.order:
         raise OrderMismatch(f"orders differ: {r.order} vs {s.order}")
     require_enumerable(r.order)
+    free_r, free_s = _free_central(r), _free_central(s)
+    if len(free_r) != len(free_s):
+        return 0, []
     count = 0
     samples = []
-    for alpha in _enumerate_bijections(r, s):
+    for alpha in _enumerate_bijections(r, s, tuple(zip(free_r, free_s))):
         count += 1
         if len(samples) < limit:
             samples.append(list(alpha))
-    return count, samples
+    return count * math.factorial(len(free_r)), samples
 
 
 def naive_commutator_bijections(r: FiniteLieRing, s: FiniteLieRing | None = None) -> int:

@@ -322,37 +322,40 @@ def _oracle_rings():
 
 
 def _search_run(monkeypatch, search, r, s):
-    """The maps ``search`` yields from r to s, and what the package's three
-    consumers of the search return when it runs in their place."""
-    maps = []
+    """The maps ``search`` yields from r to s, the maps that
+    ``commutator_bijections`` draws under its pre-assignment of Z_0, and what
+    the package's three consumers of the search return with ``search`` in
+    their place.  The oracle takes no pre-assignment: it meets one by
+    filtering its maps, which then come out in its order."""
+    yielded = list(search(r, s))
+    drawn = []
 
-    def recorded(r_, s_):
-        for alpha in search(r_, s_):
-            maps.append(alpha)
+    def recorded(r_, s_, fixed=()):
+        if fixed and search is not oracle_search:
+            maps = search(r_, s_, fixed)
+        else:
+            maps = (alpha for alpha in yielded if all(alpha[x] == y for x, y in fixed))
+        for alpha in maps:
+            drawn.append(alpha)
             yield alpha
 
     monkeypatch.setattr(fin, "_enumerate_bijections", recorded)
-    outputs = [fin.commutator_bijections(r, s, limit=4)]  # consumes every map
-    yielded = list(maps)
+    outputs = [fin.commutator_bijections(r, s, limit=4)]  # draws every map it counts
+    counted = list(drawn)
     outputs.append(fin.ua_against(r, s))
     if r is s:
         outputs.append(fin.is_wua(r))
-    return yielded, outputs
+    return yielded, counted, outputs
 
 
-def test_search_yields_the_recursive_oracles_maps_in_its_order(monkeypatch):
-    """The iterative search branches like the recursive one it replaced
-    (``tests/bijection_oracle.py``), so both must yield the same maps in the
-    same order: on every equal-order pair of the rings below, on seeded
-    relabellings of each ring with a nonzero bracket but t(2)+F_2 (its
-    41,472 maps take over a second per search), and onto a target whose
-    bracket is not alternating and one whose bracket is not antisymmetric,
-    which only the check of [a,x] beside [x,a] rejects.  The search reads
-    only the bracket tables, so relabelling a ring with the zero bracket
-    would repeat a pair.
-    ``commutator_bijections``, ``ua_against`` and ``is_wua`` must return the
-    same with either search in place."""
-    search = fin._enumerate_bijections
+def _oracle_pairs():
+    """Every equal-order pair of `_oracle_rings`, seeded relabellings of
+    each ring with a nonzero bracket but t(2)+F_2 (its 41,472 maps take
+    over a second per oracle search), and a target whose bracket is not
+    alternating and one whose bracket is not antisymmetric, which only the
+    check of [a,x] beside [x,a] rejects.  The search reads only the bracket
+    tables, so relabelling a ring with the zero bracket would repeat a
+    pair."""
     rings, t2 = _oracle_rings()
     rng = random.Random(13)
     pairs = [(r, s) for r in rings + [t2] for s in rings + [t2] if r.order == s.order]
@@ -364,10 +367,62 @@ def test_search_yields_the_recursive_oracles_maps_in_its_order(monkeypatch):
         bracket = [row[:] for row in r.bracket]
         bracket[y][z] = v  # [y,y] != 0, or [y,z] != -[z,y]
         pairs.append((r, fin.FiniteLieRing("odd target", r.order, r.add, r.neg, bracket)))
-    for r, s in pairs:
+    return pairs
+
+
+def _sends_free_central_increasingly(r, s, alpha):
+    return [alpha[x] for x in fin._free_central(r)] == fin._free_central(s)
+
+
+def test_search_yields_the_recursive_oracles_maps_in_its_order(monkeypatch):
+    """The iterative search branches like the recursive one it replaced
+    (``tests/bijection_oracle.py``), so both must yield the same maps in the
+    same order on every pair of `_oracle_pairs`.  With Z_0 pre-assigned in
+    increasing order, the search must yield exactly the oracle's maps that
+    send Z_0 increasingly, in the oracle's order, and none where the two Z_0
+    differ in size; ``commutator_bijections`` (samples included),
+    ``ua_against`` and ``is_wua`` must return the same with either search in
+    place.  The count must be the number of maps the unfactored oracle
+    yields, and every sample a commutator-preserving bijection that sends
+    Z_0 increasingly."""
+    search = fin._enumerate_bijections
+    for r, s in _oracle_pairs():
         got = _search_run(monkeypatch, search, r, s)
         want = _search_run(monkeypatch, oracle_search, r, s)
         assert got == want, (r.name, s.name)
+        oracle_maps, counted, ((count, samples), *_) = want
+        assert count == len(oracle_maps), (r.name, s.name)
+        assert counted == [alpha for alpha in oracle_maps
+                           if _sends_free_central_increasingly(r, s, alpha)], (r.name, s.name)
+        for alpha in samples:
+            assert fin.verify_bijection(r, s, alpha), (r.name, s.name, alpha)
+            assert _sends_free_central_increasingly(r, s, alpha), (r.name, s.name, alpha)
+
+
+def test_count_enumerates_one_map_per_permutation_of_the_free_center(monkeypatch):
+    """t(2)+F_2 has three free central elements, and in Z/8 and
+    abelian(3)/F_2 all seven nonzero elements are free central: the search
+    yields 6,912, 1 and 1 maps for counts of 41,472, 5,040 and 5,040.  Onto abelian(4)/F_2, with 15 free central
+    elements, t(2)+F_2 has no map and nothing is enumerated."""
+    search = fin._enumerate_bijections
+    yielded = []
+
+    def counted(r_, s_, fixed=()):
+        yielded.append(0)
+        for alpha in search(r_, s_, fixed):
+            yielded[-1] += 1
+            yield alpha
+
+    monkeypatch.setattr(fin, "_enumerate_bijections", counted)
+    F2 = PrimeField(2)
+    _, t2 = _oracle_rings()
+    z8, a3 = fin.cyclic_ring(8), fin.from_algebra(build_catalog("abelian", F2, d=3))
+    assert [len(fin._free_central(r)) for r in (t2, z8, a3)] == [3, 7, 7]
+    assert [fin.commutator_bijections(r)[0] for r in (t2, z8, a3)] == [41_472, 5_040, 5_040]
+    assert yielded == [6_912, 1, 1]
+    a4 = fin.from_algebra(build_catalog("abelian", F2, d=4))
+    assert fin.commutator_bijections(t2, a4) == (0, [])
+    assert yielded == [6_912, 1, 1]
 
 
 def test_a_target_with_a_nonzero_self_bracket_admits_no_map():
