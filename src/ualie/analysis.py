@@ -22,8 +22,6 @@ non-additive embedding witness.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _kernels
 from .constructions import SeaweedSpec, build_example_5_7, build_seaweed
 from .errors import (
@@ -775,18 +773,14 @@ def seaweed_verdict(
     n = spec.n
     # diagonal entries n-1, n-2, ..., 0 are pairwise distinct; rewrite in the
     # H_k = E_kk - E_(k+1)(k+1) coordinates via prefix sums of the entries
-    # shifted to trace zero (the shift changes nothing: H_k are traceless)
-    diag = [Fraction(n - 1 - i) for i in range(n)]
-    shift = sum(diag) / n
-    diag = [d - shift for d in diag]
-    prefix = []
-    acc = Fraction(0)
-    for d in diag[:-1]:
-        acc += d
-        prefix.append(acc)
+    # shifted to trace zero (the shift, (n-1)/2, changes nothing: H_k are
+    # traceless)
+    shift = F.div(F.from_int(n - 1), F.from_int(2))
     a = [F.zero] * g.dim
-    for k, c in enumerate(prefix):
-        a[len(roots) + k] = c
+    acc = F.zero
+    for k in range(n - 1):
+        acc = F.add(acc, F.sub(F.from_int(n - 1 - k), shift))
+        a[len(roots) + k] = acc
     b = [F.zero] * g.dim
     for k in range(len(roots)):
         b[k] = F.one

@@ -99,8 +99,9 @@ _FINITE_BUILTINS = ("klein", "z<m>", "heisenberg_f2", "heisenberg_f3")
 
 
 def _load_ring(source: str):
-    """A builtin or file ring, refused before its tables are built or
-    checked when its order is past the enumeration cap."""
+    """A builtin or file ring, refused when its order is past the
+    enumeration cap.  A file's tables are read and their shape checked
+    first; the cap applies before the ring-axiom check."""
     from . import finite  # imported here: only the finite commands need it
 
     if source == "klein":

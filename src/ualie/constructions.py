@@ -10,12 +10,18 @@ although its center is zero).
 
 Seaweed subalgebras of sl_n are determined by two compositions of n: the
 included root positions are the above-diagonal ones within a top block plus
-the below-diagonal ones within a bottom block.  They are realized as actual
-traceless staircase matrices and the structure constants are re-extracted
-from matrix commutators.
+the below-diagonal ones within a bottom block, and the traceless diagonal.
+
+Every matrix family (gl, t, n, sl, the seaweeds and example_5_7) comes from
+one builder, `_matrix_algebra`.  It takes sparse basis matrices in pivot
+form: each is 1 at its first position, its pivot, and 0 at the pivot of
+every earlier one.  The coordinates of a commutator are then read off its
+pivots in basis order, and a commutator outside the span is refused.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import BadCharacteristic, BadParams, InvalidStructure, UnknownCatalogName
 from .liecore import StructureConstantAlgebra
@@ -80,7 +86,7 @@ class SeaweedSpec:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrix helpers (dicts over 0-based (row, col) positions)
+# matrix algebras (sparse matrices are dicts over 0-based (row, col) positions)
 
 
 def _sp_commutator(field, a: dict, b: dict) -> dict:
@@ -98,55 +104,57 @@ def _sp_commutator(field, a: dict, b: dict) -> dict:
     return {p: v for p, v in out.items() if not field.is_zero(v)}
 
 
-def _staircase_algebra(name, field, n, root_list):
-    """Algebra spanned by root positions (1-based) plus the traceless diagonal.
+def _matrix_algebra(name, field, mats, names):
+    """The algebra with basis ``mats`` and the commutator as bracket.
 
-    Basis: E_ij for each included root in row-major order, then the n-1
-    diagonal generators H_k = E_kk - E_{k+1,k+1}.  Structure constants come
-    from genuine matrix commutators; the coordinate extraction asserts the
-    span is commutator-closed.
+    Pivot rule: ``mats[t]`` is 1 at its first position (its pivot) and 0 at
+    the pivot of every earlier matrix.  Subtracting c*mats[t] then changes
+    only the pivots of later matrices, so peeling the touched pivots in
+    increasing t reads each coordinate c once, as the entry still there.
+    A commutator with a remainder left is outside the span.
     """
-    roots = sorted(root_list)
-    dim = len(roots) + (n - 1)
-    root_index = {rc: idx for idx, rc in enumerate(roots)}
-    basis_mats = []
-    names = []
-    for (i, j) in roots:
-        basis_mats.append({(i - 1, j - 1): field.one})
-        names.append(f"E{i}{j}" if n < 10 else f"E{i},{j}")
-    for k in range(1, n):
-        basis_mats.append({(k - 1, k - 1): field.one, (k, k): field.neg(field.one)})
-        names.append(f"H{k}")
-
-    def extract(mat: dict):
-        rest = dict(mat)
-        coords = {}
-        for (i, j), idx in root_index.items():
-            v = rest.pop((i - 1, j - 1), None)
-            if v is not None and not field.is_zero(v):
-                coords[idx] = v
-        # remainder must be traceless diagonal: prefix sums give H coefficients
-        diag = [rest.pop((k, k), field.zero) for k in range(n)]
-        if rest:
-            raise InvalidStructure(f"{name}: span not closed under commutator at {rest}")
-        acc = field.zero
-        for k in range(n - 1):
-            acc = field.add(acc, diag[k])
-            if not field.is_zero(acc):
-                coords[len(roots) + k] = acc
-        if not field.is_zero(field.add(acc, diag[n - 1])):
-            raise InvalidStructure(f"{name}: commutator has nonzero trace")
-        return coords
-
+    pivots = [next(iter(m)) for m in mats]
+    pivot_of = {p: t for t, p in enumerate(pivots)}
+    rows = [{i for i, _ in m} for m in mats]
+    cols = [{j for _, j in m} for m in mats]
     brackets = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            c = _sp_commutator(field, basis_mats[a], basis_mats[b])
-            if c:
-                row = extract(c)
-                if row:
-                    brackets[(a, b)] = row
-    return StructureConstantAlgebra(name, field, dim, names, brackets)
+    for a, ma in enumerate(mats):
+        for b in range(a + 1, len(mats)):
+            if cols[a].isdisjoint(rows[b]) and cols[b].isdisjoint(rows[a]):
+                continue  # ab = ba = 0: they commute
+            rest = _sp_commutator(field, ma, mats[b])
+            todo = [pivot_of[p] for p in rest if p in pivot_of]
+            heapq.heapify(todo)
+            row = {}
+            while todo:
+                t = heapq.heappop(todo)
+                c = rest.get(pivots[t])
+                if c is not None:
+                    row[t] = c
+                    field.sub_scaled(rest, c, mats[t])
+                    for p in mats[t]:
+                        if p in rest and p in pivot_of:
+                            heapq.heappush(todo, pivot_of[p])
+            if rest:
+                raise InvalidStructure(f"{name}: span not closed under commutator at {rest}")
+            if row:
+                brackets[(a, b)] = row
+    return StructureConstantAlgebra(name, field, len(mats), names, brackets)
+
+
+def _unit_name(n, i, j):
+    """Name of the matrix unit at 0-based (i, j) in n x n matrices."""
+    return f"E{i + 1}{j + 1}" if n < 10 else f"E{i + 1},{j + 1}"
+
+
+def _staircase_algebra(name, field, n, root_list):
+    """Root positions (1-based) in sorted order, then H_k = E_kk - E_{k+1,k+1}."""
+    roots = sorted(root_list)
+    one = field.one
+    mats = [{(i - 1, j - 1): one} for i, j in roots]
+    mats += [{(k - 1, k - 1): one, (k, k): field.neg(one)} for k in range(1, n)]
+    names = [_unit_name(n, i - 1, j - 1) for i, j in roots] + [f"H{k}" for k in range(1, n)]
+    return _matrix_algebra(name, field, mats, names)
 
 
 def build_seaweed(spec: SeaweedSpec, field) -> StructureConstantAlgebra:
@@ -161,47 +169,30 @@ def build_seaweed(spec: SeaweedSpec, field) -> StructureConstantAlgebra:
 # catalog
 
 
-def _build_gl_like(name, field, n, positions):
-    index = {p: i for i, p in enumerate(positions)}
-    one = field.one
-    brackets = {}
-    for a, (i, j) in enumerate(positions):
-        for b in range(a + 1, len(positions)):
-            k, l = positions[b]
-            row = {}
-            if j == k:
-                idx = index[(i, l)]
-                row[idx] = field.add(row.get(idx, field.zero), one)
-            if l == i:
-                idx = index[(k, j)]
-                row[idx] = field.sub(row.get(idx, field.zero), one)
-            row = {k2: v for k2, v in row.items() if not field.is_zero(v)}
-            if row:
-                brackets[(a, b)] = row
-    names = [f"E{i + 1}{j + 1}" if n < 10 else f"E{i + 1},{j + 1}" for i, j in positions]
-    return StructureConstantAlgebra(name, field, len(positions), names, brackets)
+def _build_gl_like(name, field, n, keep):
+    """Matrix units E_ij, in row-major order, at the positions ``keep`` admits."""
+    positions = [(i, j) for i in range(n) for j in range(n) if keep(i, j)]
+    return _matrix_algebra(
+        name, field, [{p: field.one} for p in positions], [_unit_name(n, *p) for p in positions]
+    )
 
 
 def build_gl(field, n):
     if n < 1:
         raise BadParams("gl needs n >= 1")
-    return _build_gl_like(f"gl({n})", field, n, [(i, j) for i in range(n) for j in range(n)])
+    return _build_gl_like(f"gl({n})", field, n, lambda i, j: True)
 
 
 def build_t(field, n):
     if n < 1:
         raise BadParams("t needs n >= 1")
-    return _build_gl_like(
-        f"t({n})", field, n, [(i, j) for i in range(n) for j in range(n) if i <= j]
-    )
+    return _build_gl_like(f"t({n})", field, n, lambda i, j: i <= j)
 
 
 def build_n(field, n):
     if n < 1:
         raise BadParams("n needs n >= 1")
-    return _build_gl_like(
-        f"n({n})", field, n, [(i, j) for i in range(n) for j in range(n) if i < j]
-    )
+    return _build_gl_like(f"n({n})", field, n, lambda i, j: i < j)
 
 
 def build_sl(field, n):
@@ -209,25 +200,14 @@ def build_sl(field, n):
         raise BadParams("sl needs n >= 2")
     if n == 2:
         one = field.one
-        two = field.add(one, one)
-        return StructureConstantAlgebra(
-            "sl(2)",
-            field,
-            3,
-            ["e", "h", "f"],
-            {
-                (0, 1): {0: field.neg(two)},
-                (0, 2): {1: one},
-                (1, 2): {2: field.neg(two)},
-            },
-        )
+        mats = [{(0, 1): one}, {(0, 0): one, (1, 1): field.neg(one)}, {(1, 0): one}]
+        return _matrix_algebra("sl(2)", field, mats, ["e", "h", "f"])
     if field.char != 0 and field.char <= n:
         # the staircase realization needs the H_k to stay a complement
         raise BadCharacteristic(f"sl({n}) catalog build needs char 0 or p > n")
-    alg = _staircase_algebra(
+    return _staircase_algebra(
         f"sl({n})", field, n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     )
-    return alg
 
 
 def build_heisenberg(field, k):
@@ -275,44 +255,6 @@ def build_example_4_6(field):
     )
 
 
-_E57_SLOTS = [
-    None,  # index 0 is the repeated diagonal parameter
-    (0, 2),
-    (0, 3),
-    (0, 4),
-    (1, 2),
-    (1, 3),
-    (1, 4),
-    (2, 4),
-    (3, 4),
-]
-_E57_NAMES = ["a", "a13", "a14", "a15", "a23", "a24", "a25", "a35", "a45"]
-
-
-def _e57_matrix(field, coords):
-    mat = {}
-    a = coords[0]
-    if not field.is_zero(a):
-        for k in range(4):
-            mat[(k, k)] = a
-    for idx in range(1, 9):
-        if not field.is_zero(coords[idx]):
-            mat[_E57_SLOTS[idx]] = coords[idx]
-    return mat
-
-
-def _e57_extract(field, mat):
-    rest = dict(mat)
-    coords = [field.zero] * 9
-    for idx in range(1, 9):
-        v = rest.pop(_E57_SLOTS[idx], None)
-        if v is not None:
-            coords[idx] = v
-    if rest:
-        raise InvalidStructure(f"commutator left the 9-parameter family: {rest}")
-    return coords
-
-
 def build_example_5_7(field):
     """Nine-dimensional family of 5x5 matrices with trivial center.
 
@@ -321,20 +263,11 @@ def build_example_5_7(field):
     and zeros elsewhere.  Commutators of members land in the four positions
     of the last column, so the family is commutator-closed.
     """
-    basis_mats = []
-    for idx in range(9):
-        coords = [field.zero] * 9
-        coords[idx] = field.one
-        basis_mats.append(_e57_matrix(field, coords))
-    brackets = {}
-    for i in range(9):
-        for j in range(i + 1, 9):
-            c = _sp_commutator(field, basis_mats[i], basis_mats[j])
-            coords = _e57_extract(field, c)
-            row = {k: v for k, v in enumerate(coords) if not field.is_zero(v)}
-            if row:
-                brackets[(i, j)] = row
-    return StructureConstantAlgebra("example_5_7", field, 9, _E57_NAMES, brackets)
+    one = field.one
+    slots = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]
+    mats = [{(k, k): one for k in range(4)}] + [{p: one} for p in slots]
+    names = ["a"] + [f"a{i + 1}{j + 1}" for i, j in slots]
+    return _matrix_algebra("example_5_7", field, mats, names)
 
 
 CATALOG = {

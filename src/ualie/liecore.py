@@ -268,6 +268,10 @@ class StructureConstantAlgebra:
                     isinstance(s, str) for s in coeffs.values()
                 ):
                     raise TypeError("coeffs must map basis indices to scalar strings")
+                # "01" or " 1" would read as 1 and could overwrite its twin
+                bad = [k for k in coeffs if k != str(int(k))]
+                if bad:
+                    raise ValueError(f"basis indices {bad} are not written canonically")
                 row = {int(k): s for k, s in coeffs.items()}
             except (KeyError, TypeError, ValueError) as e:
                 raise InvalidStructure(f"malformed bracket entry: {e}") from e

@@ -6,6 +6,7 @@ centralizer computations, explicit bracket evaluations), so they serve as
 frozen oracles from here on.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -458,6 +459,33 @@ def test_seaweed_recipe_witness_verifies_independently():
     a = [Fraction(s) for s in rep.to_json_dict()["witness"]["a"]]
     b = [Fraction(s) for s in rep.to_json_dict()["witness"]["b"]]
     assert g.mutual_centralizer_dim(a, b) == 0
+
+
+def test_seaweed_recipe_pair_holds_canonical_rationals(monkeypatch):
+    """Over Q every integral scalar is an ``int``; the recipe pair that
+    `seaweed_verdict` hands to `_verify_witness_exactly` keeps to that on
+    every ample seaweed with n = 4."""
+    pairs = []
+    verify = an._verify_witness_exactly
+
+    def spy(g, a, b):
+        pairs.append((g.name, a, b))
+        return verify(g, a, b)
+
+    monkeypatch.setattr(an, "_verify_witness_exactly", spy)
+    comps = [c for r in range(1, 5) for c in itertools.product(range(1, 5), repeat=r)
+             if sum(c) == 4]
+    ample = []
+    for top, bottom in itertools.product(comps, repeat=2):
+        spec = SeaweedSpec(4, top, bottom)
+        if an.check_ample(spec.roots(), 4).ample:
+            ample.append(spec.label())
+            assert an.seaweed_verdict(spec, QQ).verdict == an.VERDICT_UA
+    assert "seaweed(n=4,top=2|2,bottom=4)" in ample
+    assert [name for name, _, _ in pairs] == ample
+    for name, a, b in pairs:
+        for x in a + b:
+            assert type(x) is int or x.denominator != 1, (name, x)
 
 
 def test_seaweed_non_ample_routes_to_negative_criterion():

@@ -126,6 +126,7 @@ MALFORMED_INPUTS = {
     "coeffs-list": (_gl2_first_coeffs([1]), "algebra"),
     "coeffs-bad-index": (_gl2_first_coeffs({"x": "1"}), "algebra"),
     "coeffs-number": (_gl2_first_coeffs({"1": 1}), "algebra"),
+    "coeffs-duplicate-index": (_gl2_first_coeffs({"1": "1", "01": "1"}), "algebra"),
     "coeffs-decimal": (_gl2_first_coeffs({"1": "0.5"}), "algebra"),
     "coeffs-exponent": (_gl2_first_coeffs({"1": "1e20000000"}), "algebra"),
     "field-string": (_gl2_with(field="Q"), "algebra"),

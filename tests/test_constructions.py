@@ -1,10 +1,13 @@
 """Builders: catalog families, seaweed subalgebras and direct sums."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import constructions_oracle as oracle
+from ualie import constructions
 from ualie.constructions import (
     CATALOG,
     SeaweedSpec,
@@ -12,7 +15,7 @@ from ualie.constructions import (
     build_seaweed,
     direct_sum,
 )
-from ualie.errors import BadParams, FieldMismatch, UnknownCatalogName
+from ualie.errors import BadParams, FieldMismatch, InvalidStructure, UalieError, UnknownCatalogName
 from ualie.scalars import QQ, PrimeField
 
 
@@ -140,3 +143,58 @@ def test_direct_sum_field_mismatch():
     with pytest.raises(FieldMismatch):
         direct_sum(build_catalog("sl", QQ, n=2), build_catalog("sl", PrimeField(5), n=2))
 
+
+
+def _compositions(n):
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        yield tuple(parts + [run])
+
+
+def _outcome(build, *args):
+    """Name, basis names and brackets (rows in insertion order, with the
+    type of every coefficient) of a build, or the class and message of
+    its refusal."""
+    try:
+        g = build(*args)
+    except UalieError as e:
+        return type(e).__name__, str(e)
+    rows = [(key, [(k, c, type(c)) for k, c in row.items()]) for key, row in g.brackets.items()]
+    return g.name, g.dim, g.basis_names, rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2)], ids=lambda F: repr(F))
+def test_matrix_families_match_the_per_family_oracle(field):
+    """The one pivot-reading builder gives exactly the brackets and basis
+    names of the per-family builders it replaced (``constructions_oracle``):
+    gl, t and n for n = 1..6, sl for n = 2..6, every seaweed with n <= 5 and
+    example_5_7.  Where the oracle refuses a field (F_2 for sl(n >= 3) and
+    the seaweeds with n >= 2), the builder refuses it with the same error."""
+    cases = [(fam, (field, n)) for fam in ("gl", "t", "n") for n in range(1, 7)]
+    cases += [("sl", (field, n)) for n in range(2, 7)]
+    cases += [("example_5_7", (field,))]
+    cases += [
+        ("seaweed", (SeaweedSpec(n, top, bottom), field))
+        for n in range(1, 6)
+        for top in _compositions(n)
+        for bottom in _compositions(n)
+    ]
+    built = 0
+    for fam, args in cases:
+        got = _outcome(getattr(constructions, f"build_{fam}"), *args)
+        assert got == _outcome(getattr(oracle, f"build_{fam}"), *args), (fam, args)
+        built += len(got) > 2
+    # over F_2 only gl, t and n (n = 1..6), sl(2), example_5_7 and the
+    # zero-dimensional n = 1 seaweed are built
+    assert built == (len(cases) if field.char != 2 else 3 * 6 + 3)
+
+
+def test_matrix_span_not_closed_is_refused():
+    """[E12, E23] = E13 lies outside the span of E12 and E23."""
+    with pytest.raises(InvalidStructure, match="span not closed"):
+        constructions._matrix_algebra("x", QQ, [{(0, 1): 1}, {(1, 2): 1}], ["E12", "E23"])
