@@ -16,9 +16,9 @@ rows.  `certified_kernel` lifts and checks the vector of every free column,
 which gives the canonical span and kernel of `linalg.span_and_kernel`.
 `int_kernel_dim` only has to tell a trivial kernel from a nontrivial one:
 full rank mod p proves the first, and one lifted vector that passes the
-exact check proves the second.  Rows that several of its stacks share are
-reduced once and passed as a block, which each stack extends without
-writing to it.
+exact check proves the second.  A caller may keep the vectors proved this
+way: a kept vector that every row of a later stack annihilates proves that
+stack's kernel nontrivial with no elimination.
 
 Two routes over Q, kept apart on purpose: the certificate finds witnesses,
 while `int_rank` is Bareiss alone, so a witness found through the modular
@@ -82,24 +82,20 @@ def int_rank(entries, rows: int, cols: int) -> int:
     return rank
 
 
-def _add_row(field, basis: dict, cols: set, row: dict, block=None):
+def _add_row(field, basis: dict, cols: set, row: dict):
     """Reduce a copy of ``row`` and add it to the RREF ``basis`` when it is
     nonzero; return whether it was.
 
-    The copy is cleared in the pivot columns of ``block`` first (see
-    `_rref`), then in those of ``basis``: the rows of an RREF are zero in
-    each other's pivot columns, so neither pass brings a pivot column back.
-    It is scaled to 1 at its pivot, and the stored rows that meet the new
-    pivot column are cleared there against it, which writes them.  ``cols``
-    holds every column a stored row has ever had; a pivot outside it meets
-    no stored row, so their scan is skipped.  Back-elimination only adds
-    columns of the new row, which join ``cols``.
+    The copy is cleared in the pivot columns of ``basis``: the rows of an
+    RREF are zero in each other's pivot columns, so no pivot column comes
+    back.  It is scaled to 1 at its pivot, and the stored rows that meet the
+    new pivot column are cleared there against it, which writes them.
+    ``cols`` holds every column a stored row has ever had; a pivot outside
+    it meets no stored row, so their scan is skipped.  Back-elimination only
+    adds columns of the new row, which join ``cols``.
     """
     F = field
     v = F.sparse(row)
-    if block:
-        for pc in [c for c in v if c in block]:
-            F.sub_scaled(v, v[pc], block[pc])
     for pc in [c for c in v if c in basis]:
         F.sub_scaled(v, v[pc], basis[pc])
     if not v:
@@ -117,7 +113,7 @@ def _add_row(field, basis: dict, cols: set, row: dict, block=None):
     return True
 
 
-def _rref(field, n: int, rows: list, block=None) -> dict:
+def _rref(field, n: int, rows: list) -> dict:
     """Canonical sparse RREF of rows ``{column: scalar}`` over ``field`` with
     n columns: a map from each pivot column, ascending, to its row (1 at the
     pivot, 0 in every other pivot column).
@@ -125,20 +121,13 @@ def _rref(field, n: int, rows: list, block=None) -> dict:
     Rows are read, never written: each is copied by the field's `sparse`,
     which drops zeros (and over F_p reduces integers, so integer rows can
     be passed as they are).  They are taken greedily in order, each in one
-    pass (`_add_row`), and the reduction stops at n pivots.  ``block``, the RREF of rows that
-    several systems share, is extended instead of starting afresh: each row
-    is reduced against the block's pivots too, and only the new pivot rows
-    are returned, each zero in every block pivot column.  The block is read
-    and never written, so its rows keep their entries in the new pivot
-    columns (`_lifted_kernel` back-substitutes through them), and the early
-    stop counts the pivots of both.
+    pass (`_add_row`), and the reduction stops at n pivots.
     """
-    block = block or {}
     basis, cols = {}, set()
     for row in rows:
-        if len(block) + len(basis) == n:
+        if len(basis) == n:
             break
-        _add_row(field, basis, cols, row, block)
+        _add_row(field, basis, cols, row)
     return {pc: basis[pc] for pc in sorted(basis)}
 
 
@@ -157,35 +146,26 @@ def _lift(x: int, p: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lifted_kernel(basis, n: int, block=None):
-    """Yield ``(f, v)`` for each free column f, ascending, of the echelon
-    form mod ``WITNESS_PRIME`` made of ``block`` and ``basis`` (see
-    `_rref`).
+def _lifted_kernel(basis, n: int):
+    """Yield ``(f, v)`` for each free column f, ascending, of the RREF mod
+    ``WITNESS_PRIME`` ``basis`` (see `_rref`).
 
-    The kernel vector x of f is 1 at f and 0 at the other free columns.  A
-    new pivot e reads x_e = -basis[e][f]; a block pivot b, whose row still
-    meets the new pivots, reads x_b = -(block[b][f] + sum_e block[b][e] x_e).
-    Its entries are lifted to Z by rational reconstruction and cleared of
-    denominators, so v is an integer vector with v[f] > 0, or None where an
-    entry does not lift.  It is a kernel vector mod p only, until
-    `_annihilates` checks it against the integer rows.
+    The kernel vector x of f is 1 at f, 0 at the other free columns, and
+    -basis[e][f] at each pivot e.  Its entries are lifted to Z by rational
+    reconstruction and cleared of denominators, so v is an integer vector
+    with v[f] > 0, or None where an entry does not lift.  It is a kernel
+    vector mod p only, until `_annihilates` checks it against the integer
+    rows.
     """
     p = WITNESS_PRIME
-    block = block or {}
     for f in range(n):
-        if f in basis or f in block:
+        if f in basis:
             continue
         x = {f: 1}
         for e, row in basis.items():
             y = row.get(f)
             if y:
                 x[e] = p - y
-        xb = {}
-        for b, row in block.items():
-            y = sum(row[c] * xc for c, xc in x.items() if c in row) % p
-            if y:
-                xb[b] = p - y
-        x.update(xb)
         fracs = {c: _lift(y, p) for c, y in x.items()}
         if None in fracs.values():
             yield f, None
@@ -237,31 +217,24 @@ def certified_kernel(int_rows, n: int):
     return sorted(basis), kernel
 
 
-def reduce_block(int_rows, n: int):
-    """Sparse integer rows that several `int_kernel_dim` stacks share, kept
-    with their RREF mod the witness prime, which is computed here once."""
-    return int_rows, _rref(WITNESS_FIELD, n, int_rows)
-
-
-def int_kernel_dim(int_rows, n: int, block=None) -> int:
+def int_kernel_dim(int_rows, n: int, proved=None) -> int:
     """Zero exactly when the sparse integer rows ``{column: int}`` with n
-    columns, stacked on the rows of ``block``, have a trivial kernel over Q;
-    otherwise a positive number.
+    columns have a trivial kernel over Q; otherwise a positive number.
 
-    ``block`` comes from `reduce_block`.  Full rank mod the witness
-    prime proves nullity 0 (rank_Q >= rank_p).  Below it, the kernel vector
-    of the first free column alone is lifted, and checked exactly against
-    every row of the stack, the block's included: passing, it proves
-    nullity >= 1, and 1 is returned.  When the lift or the check fails, the
-    answer is n minus the Bareiss rank (`int_rank`) of the whole stack.
+    Full rank mod the witness prime proves nullity 0 (rank_Q >= rank_p).
+    Below it, the kernel vector of the first free column alone is lifted,
+    and checked exactly against every row: passing, it proves nullity >= 1,
+    it is appended to ``proved`` when that list is given, and 1 is
+    returned.  When the lift or the check fails, the answer is n minus the
+    Bareiss rank (`int_rank`) of the rows.
     """
-    block_rows, block_rref = block or ((), {})
-    basis = _rref(WITNESS_FIELD, n, int_rows, block_rref)
-    if len(block_rref) + len(basis) == n:
+    basis = _rref(WITNESS_FIELD, n, int_rows)
+    if len(basis) == n:
         return 0
-    rows = [*int_rows, *block_rows]
-    _, v = next(_lifted_kernel(basis, n, block_rref))
-    if v is not None and _annihilates(rows, n, [v]):
+    _, v = next(_lifted_kernel(basis, n))
+    if v is not None and _annihilates(int_rows, n, [v]):
+        if proved is not None:
+            proved.append(v)
         return 1
-    entries = [row.get(c, 0) for row in rows for c in range(n)]
-    return n - int_rank(entries, len(rows), n)
+    entries = [row.get(c, 0) for row in int_rows for c in range(n)]
+    return n - int_rank(entries, len(int_rows), n)

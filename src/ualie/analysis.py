@@ -33,7 +33,6 @@ from .liecore import StructureConstantAlgebra
 from .linalg import (
     integerized_entries,
     kernel_dim_fast,
-    reduced_block,
     span_and_kernel,
     vec_add,
     vec_scale,
@@ -133,11 +132,11 @@ def c_condition(
     pairs with coordinates uniform in [-bound, bound].  Every candidate is
     decided by `kernel_dim_fast`: full rank mod the witness prime accepts
     it, and one lifted kernel vector checked exactly against every row (or
-    Bareiss, when that vector fails) rejects it.  The rows of ad(sum),
-    common to the second stage, are reduced mod p once (`reduced_block`),
-    and each candidate there extends that echelon form with the rows of
-    ad(e_i).  A found witness is re-verified through an independent exact
-    route before being reported.  Any other field raises
+    Bareiss, when that vector fails) rejects it.  The second stage keeps
+    each such vector: it lies in C(sum) exactly, so a later e_i that it
+    also commutes with (ad(e_i) v = 0 in exact arithmetic) is rejected
+    without elimination.  A found witness is re-verified through an
+    independent exact route before being reported.  Any other field raises
     ``UnsupportedField``: the criterion needs infinitely many scalars.
     """
     F = g.field
@@ -158,15 +157,20 @@ def c_condition(
                 mask |= 1 << c
         return rows, mask
 
-    def try_pair(a, b, ad_a, ad_b, block=None):
+    def commutes(ad_rows, v):
+        # ad(x) v = 0 in exact arithmetic, for the sparse rows of ad(x)
+        return not any(sum(y * v.get(c, 0) for c, y in row.items()) for row in ad_rows)
+
+    def try_pair(a, b, ad_a, ad_b, proved=None):
         # a basis vector commuting with both elements (a column zero in
-        # both adjoints) forces a nonzero mutual centralizer, so such pairs
-        # are rejected without elimination; ``block``, when given, holds
-        # the rows of ad_b already reduced
+        # both adjoints) forces a nonzero mutual centralizer, and so does a
+        # vector of ``proved`` (exact elements of C(b)) that ad(a) kills, so
+        # such pairs are rejected without elimination
         if ad_a[1] | ad_b[1] != full:
             return False
-        rows = ad_a[0] if block is not None else ad_a[0] + ad_b[0]
-        if kernel_dim_fast(F, n, rows, block) != 0:
+        if proved and any(commutes(ad_a[0], v) for v in proved):
+            return False
+        if kernel_dim_fast(F, n, ad_a[0] + ad_b[0], proved) != 0:
             return False
         if not _verify_witness_exactly(g, a, b):
             raise HypothesesNotMet("witness failed exact re-verification")
@@ -180,9 +184,9 @@ def c_condition(
                 return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None, None)
     sum_all = [F.one] * n
     ad_sum = adjoint(sum_all)
-    block = reduced_block(F, n, ad_sum[0])
+    proved = []
     for i in range(n):
-        if try_pair(basis[i], sum_all, ads[i], ad_sum, block):
+        if try_pair(basis[i], sum_all, ads[i], ad_sum, proved):
             return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None, None)
     sum_even = [F.one if i % 2 == 0 else F.zero for i in range(n)]
     sum_odd = [F.one if i % 2 == 1 else F.zero for i in range(n)]

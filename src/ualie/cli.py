@@ -67,7 +67,7 @@ def _load_algebra(path: str) -> StructureConstantAlgebra:
             data = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, digit limit, nesting
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return StructureConstantAlgebra.from_json_dict(data)
@@ -123,7 +123,7 @@ def _load_ring(source: str):
         raise _InputError(
             f"cannot read {source} (builtins: {', '.join(_FINITE_BUILTINS)}): {exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, digit limit, nesting
         raise _InputError(f"{source} is not valid JSON: {exc}") from exc
     try:
         ring = finite.FiniteLieRing.from_json_dict(data, name=source)

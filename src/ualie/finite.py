@@ -640,10 +640,12 @@ def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:
     """
     from .scalars import ExtensionField, PrimeField
 
-    q = p**n
-    if q > SEMIGROUP_CAP:
-        raise CapExceeded(f"field order {q} exceeds cap {SEMIGROUP_CAP}")
+    # p >= 2, so n >= bit_length(cap) gives p^n > cap before p**n is built;
+    # a p below 2 is refused by the field itself
+    if p >= 2 and (n >= SEMIGROUP_CAP.bit_length() or p**n > SEMIGROUP_CAP):
+        raise CapExceeded(f"field order {p}^{n} exceeds cap {SEMIGROUP_CAP}")
     F = PrimeField(p) if n == 1 else ExtensionField(p, n)
+    q = F.order
     elements = list(F.elements())
     units = [e for e in elements if not F.is_zero(e)]
 

@@ -14,10 +14,10 @@ and reduced over the witness prime field, and certified by `_kernels`.
 whole lifted kernel of `_kernels.certified_kernel`.  `kernel_dim_fast` only
 tells a trivial kernel from a nontrivial one: full rank mod p proves the
 first, and one lifted kernel vector checked exactly proves the second, with
-Bareiss as the fallback.  Rows that several of its stacks share
-(`reduced_block`) are reduced once.  Everything else -- the fallback when
-the certificate fails, every other field, and the spans and intersections
-of subspaces -- runs `_rref` over the field itself.
+Bareiss as the fallback; the caller may keep the vectors it proves.
+Everything else -- the fallback when the certificate fails, every other
+field, and the spans and intersections of subspaces -- runs `_rref` over
+the field itself.
 """
 
 from __future__ import annotations
@@ -165,25 +165,19 @@ def span_and_kernel(field, n: int, rows: list):
     return Subspace(field, n, span), Subspace.from_spanning(field, n, list(ker.values()))
 
 
-def reduced_block(field, n: int, rows: list):
-    """Sparse rows over Q that several `kernel_dim_fast` stacks share,
-    integerized and reduced mod the witness prime once
-    (`_kernels.reduce_block`)."""
-    return _kernels.reduce_block([_integer_row(row) for row in rows], n)
-
-
-def kernel_dim_fast(field, n: int, rows: list, block=None) -> int:
+def kernel_dim_fast(field, n: int, rows: list, proved=None) -> int:
     """Zero exactly when the matrix with sparse rows ``rows`` (as in
-    `span_and_kernel`), stacked on the rows of ``block`` (a `reduced_block`,
-    over Q only), has a trivial kernel; otherwise positive.
+    `span_and_kernel`) has a trivial kernel; otherwise positive.
 
     Over Q this is `_kernels.int_kernel_dim` of the integerized rows: a
     positive value is proved exactly, by one lifted kernel vector or by
-    Bareiss, but it is the nullity only on the Bareiss route.  Over every
-    other field it is the nullity, n minus the rank from one `_rref`.
+    Bareiss, but it is the nullity only on the Bareiss route.  A lifted
+    vector that passes is appended to ``proved`` when that list is given.
+    Over every other field it is the nullity, n minus the rank from one
+    `_rref`.
     """
     if field.kind == "Q":
-        return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n, block)
+        return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n, proved)
     return n - len(_rref(field, n, rows))
 
 

@@ -404,14 +404,26 @@ class ExtensionField:
 QQ = Rationals()
 
 
+def _json_int(x, what: str) -> int:
+    """x when it is a JSON integer (not a bool, float or string), else TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
 def field_from_json(obj: dict):
     kind = obj.get("kind")
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(_json_int(obj["p"], "p"))
     if kind == "Fq":
-        return ExtensionField(int(obj["p"]), int(obj["n"]), obj.get("modulus"))
+        modulus = obj.get("modulus")
+        if modulus is not None:
+            if not isinstance(modulus, list):
+                raise TypeError(f"modulus must be a list, got {modulus!r}")
+            modulus = [_json_int(c, "modulus coefficient") for c in modulus]
+        return ExtensionField(_json_int(obj["p"], "p"), _json_int(obj["n"], "n"), modulus)
     raise BadParams(f"unknown field kind {kind!r}")
 
 

@@ -86,6 +86,56 @@ def test_c_condition_deterministic_across_runs():
     )
 
 
+def _rebased(g, seed):
+    """g in a seeded basis f_i = sum_j P[i][j] e_j with rational P, so its
+    structure constants are rational, not integral."""
+    rng = random.Random(seed)
+    n = g.dim
+    while True:
+        P = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        augmented = [P[i] + [O if j == i else Z for j in range(n)] for i in range(n)]
+        R, pivots = dense_rref(QQ, augmented, 2 * n)
+        if pivots == list(range(n)):
+            break
+    inv = [row[n:] for row in R]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = g.bracket(P[i], P[j])
+            brackets[(i, j)] = {m: sum((w[k] * inv[k][m] for k in range(n)), Z) for m in range(n)}
+    return StructureConstantAlgebra(f"{g.name}~{seed}", QQ, n, None, brackets)
+
+
+def test_c_condition_matches_the_full_stack_oracle():
+    """Stage 2 rejects by stored kernel vectors where it can; the oracle
+    eliminates every candidate (``c_condition_oracle``).  Outcome, witness,
+    trial count and failure bound must agree on sl(2..8), s2, example_5_7,
+    example_5_7 in a rational basis (every stage runs there, on rows of
+    fractions) and every seaweed with n <= 5."""
+    import c_condition_oracle as oracle
+
+    def key(res):
+        return res.outcome, res.witness, res.trials_run, res.failure_bound, res.certificate
+
+    algebras = [build_catalog("sl", QQ, n=k) for k in range(2, 9)]
+    algebras += [build_catalog("s2", QQ), build_catalog("example_5_7", QQ)]
+    algebras.append(_rebased(build_catalog("example_5_7", QQ), 103))
+    comps = [c for r in range(1, 6) for c in itertools.product(range(1, 6), repeat=r)]
+    for n in range(1, 6):
+        ncomps = [c for c in comps if sum(c) == n]
+        for top, bottom in itertools.product(ncomps, repeat=2):
+            algebras.append(build_seaweed(SeaweedSpec(n, top, bottom), QQ))
+    assert len(algebras) == 10 + 341
+    outcomes = set()
+    for g in algebras:
+        got = key(an.c_condition(g))
+        assert got == key(oracle.c_condition(g)), g.name
+        outcomes.add(got[0])
+    assert outcomes == {an.OUTCOME_HOLDS, an.OUTCOME_PROBABLY_FAILS, an.OUTCOME_CERTIFIED_FAILS}
+    assert any(type(c) is Fraction and c.denominator > 1
+               for row in algebras[9].brackets.values() for c in row.values())
+
+
 def test_c_condition_refuses_finite_fields():
     # checked before the center: heisenberg over F_3 has a nonzero one
     for g in (

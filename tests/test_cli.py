@@ -12,7 +12,7 @@ import pytest
 
 from ualie import cli
 from ualie.constructions import build_catalog
-from ualie.scalars import QQ
+from ualie.scalars import QQ, ExtensionField
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,6 +115,13 @@ def _gl2_first_bracket(**changes):
     return data
 
 
+def _gl2_f4_with(**field):
+    """gl(2) over F_4, whose file reads as it is but for ``field``."""
+    data = build_catalog("gl", ExtensionField(2, 2), n=2).to_json_dict()
+    data["field"].update(field)
+    return data
+
+
 _Z2 = {"order": 2, "add": [[0, 1], [1, 0]], "bracket": [[0, 0], [0, 0]]}
 
 
@@ -130,6 +137,11 @@ MALFORMED_INPUTS = {
     "coeffs-decimal": (_gl2_first_coeffs({"1": "0.5"}), "algebra"),
     "coeffs-exponent": (_gl2_first_coeffs({"1": "1e20000000"}), "algebra"),
     "field-string": (_gl2_with(field="Q"), "algebra"),
+    "field-p-float": (_gl2_with(field={"kind": "Fp", "p": 7.9}), "algebra"),
+    "field-p-infinite": (_gl2_with(field={"kind": "Fp", "p": float("inf")}), "algebra"),
+    "field-p-string": (_gl2_with(field={"kind": "Fp", "p": "7"}), "algebra"),
+    "field-n-float": (_gl2_f4_with(n=2.7), "algebra"),
+    "field-modulus-float": (_gl2_f4_with(modulus=[1, 1.0, 1]), "algebra"),
     "brackets-number": (_gl2_with(brackets=5), "algebra"),
     "basis-names-number": (_gl2_with(basis_names=5), "algebra"),
     "basis-names-objects": (_gl2_with(basis_names=[1, {"x": 2}, "e3", "e4"]), "algebra"),
@@ -165,6 +177,25 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
         assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
         assert err.startswith("input error:") and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("raw", [
+    b"[" + b"1" * 5000 + b"]",  # past Python's limit on digits in an int literal
+    b"[" * 200_000,  # past the decoder's recursion limit
+    b"\xff\xfe{",  # not UTF-8
+], ids=["int-5000-digits", "nested-200000", "not-utf8"])
+def test_undecodable_json_is_an_input_error(capsys, tmp_path, raw):
+    """Files that `json.load` fails on without a `JSONDecodeError` are
+    refused as invalid JSON, at once and with no traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    for argv in (("validate", str(path)), ("finite", "wua", str(path))):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"input error: {path} is not valid JSON:"), (argv, err)
+        assert "Traceback" not in err
 
 
 def test_ring_file_failing_an_axiom_is_refused_and_named(capsys, tmp_path):
@@ -364,6 +395,16 @@ def test_finite_field_report(capsys):
     d = json.loads(out)
     assert d["q"] == 5 and d["brute_count"] == 2
     assert d["nonadditive"]["k"] == 3
+
+
+def test_finite_field_cap_is_checked_before_the_order_is_built(capsys):
+    """3^30000000 has over 14 million digits; building it took about 20 s
+    and printing it failed.  The cap is checked on the exponent first."""
+    for n in ("9000", "30000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "finite", "field", "--p", "3", "--n", n)
+        assert time.perf_counter() - start < 0.5, n
+        assert (code, out, err) == (1, "", f"input error: field order 3^{n} exceeds cap 512\n")
 
 
 def test_text_output_mode(capsys):

@@ -143,8 +143,8 @@ def test_c_condition_rejections_on_sl5_do_not_reach_bareiss(monkeypatch):
     nullities = []
     original = linalg.kernel_dim_fast
 
-    def spy_nullity(field, n, rows, block=None):
-        nullities.append(original(field, n, rows, block))
+    def spy_nullity(field, n, rows, proved=None):
+        nullities.append(original(field, n, rows, proved))
         return nullities[-1]
 
     monkeypatch.setattr(analysis, "kernel_dim_fast", spy_nullity)
@@ -156,121 +156,53 @@ def test_c_condition_rejections_on_sl5_do_not_reach_bareiss(monkeypatch):
     assert calls == [(2 * g.dim, g.dim)]  # only the witness re-verification
 
 
-def _sparse_rows(rng, count, cols):
-    """Seeded sparse integer rows: 1 to 3 small entries each, and about a
-    third of them integer combinations of two earlier rows."""
-    rows = []
-    for _ in range(count):
-        if rows and rng.random() < 0.35:
-            a, b = rng.choice(rows), rng.choice(rows)
-            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
-            row = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in sorted(set(a) | set(b))}
-        else:
-            support = rng.sample(range(cols), rng.randint(1, min(3, cols)))
-            row = {c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in sorted(support)}
-        rows.append({c: x for c, x in row.items() if x})
-    return rows
+def test_c_condition_stage_2_rejects_by_proved_vectors_on_sl7(monkeypatch):
+    """sl(7) rejects all 48 candidates e_j against the sum s of the basis.
+    Only 11 of them are eliminated, each proving and storing one exact
+    vector of C(s) with no Bareiss; every other e_j is skipped because a
+    vector stored before it commutes with e_j, which is checked here with
+    the algebra's own bracket.  Only the witness (found by the even/odd
+    stage) reaches Bareiss."""
+    from fractions import Fraction
 
-
-def _assert_block_extends(F, cols, block_rows, new_rows):
-    """A block reduced once, and an extension reduced against it, give the
-    pivots and the span of one `_rref` over all rows; the extension is zero
-    in the block's pivot columns, and the block is left as it was."""
-    block = _kernels._rref(F, cols, block_rows)
-    before = {pc: dict(row) for pc, row in block.items()}
-    ext = _kernels._rref(F, cols, new_rows, block)
-    assert block == before
-    full = _kernels._rref(F, cols, block_rows + new_rows)
-    assert not set(block) & set(ext) and set(block) | set(ext) == set(full)
-    assert all(c not in block for row in ext.values() for c in row)
-    assert _kernels._rref(F, cols, [*block.values(), *ext.values()]) == full
-    return block, ext, full
-
-
-def test_a_reduced_block_extends_to_the_rref_of_all_rows(monkeypatch):
-    """Rows split into a block, reduced once, and an extension reduced
-    against it give the pivots and the span of one `_rref` over all rows,
-    over Q, F_5 and the witness prime field; over the last, also its lifted
-    kernel vectors.  Some blocks carry a row that vanishes mod p but not
-    over Q, which only the exact check against the block rows can see.
-    Every rejection by one lifted vector agrees with Bareiss."""
-    p = _kernels.WITNESS_PRIME
-    rng = random.Random(7717)
-    one_vector = fallbacks = 0
-    for _ in range(150):
-        cols = rng.randint(1, 9)
-        rows = _sparse_rows(rng, rng.randint(0, cols + 2), cols)
-        cut = rng.randint(0, len(rows))
-        block_rows, new_rows = rows[:cut], rows[cut:]
-        if rng.random() < 0.3:
-            block_rows.append({c: p * x for c, x in _sparse_rows(rng, 1, cols)[0].items()})
-        for F in (QQ, PrimeField(5)):  # integer rows are rows over both
-            _assert_block_extends(F, cols, block_rows, new_rows)
-        block, ext, full = _assert_block_extends(WITNESS_FIELD, cols, block_rows, new_rows)
-        assert _kernels.reduce_block(block_rows, cols)[1] == block
-        assert list(_kernels._lifted_kernel(ext, cols, block)) == list(
-            _kernels._lifted_kernel(full, cols)
-        )
-
-        stack = new_rows + block_rows
-        entries = [row.get(c, 0) for row in stack for c in range(cols)]
-        nullity = cols - _kernels.int_rank(entries, len(stack), cols)
-        calls = _count_bareiss(monkeypatch)
-        k = _kernels.int_kernel_dim(new_rows, cols, _kernels.reduce_block(block_rows, cols))
-        monkeypatch.undo()
-        assert (k > 0) == (nullity > 0)
-        if k > 0 and not calls:
-            one_vector += 1
-        fallbacks += len(calls)
-    assert one_vector >= 90 and fallbacks >= 10
-
-
-def test_the_exact_check_reads_the_block_rows():
-    """The block [p, 0] vanishes mod p, so the extension [0, 1] leaves
-    (1, 0) as a kernel vector mod p; p * 1 != 0 over Z, and Bareiss finds
-    rank 2."""
-    p = _kernels.WITNESS_PRIME
-    block_rows, block = _kernels.reduce_block([{0: p}], 2)
-    assert block == {}
-    ext = _kernels._rref(WITNESS_FIELD, 2, [{1: 1}], block)
-    assert list(_kernels._lifted_kernel(ext, 2, block)) == [(0, {0: 1})]
-    assert _kernels.int_kernel_dim([{1: 1}], 2, (block_rows, block)) == 0
-
-
-def test_c_condition_reduces_the_stage_2_block_once_on_sl7(monkeypatch):
-    """sl(7) rejects all 48 candidates e_i against the sum of the basis.
-    The rows of ad(sum) are reduced mod p once; each candidate extends that
-    one block and lifts a single kernel vector, and only the witness
-    (found by the even/odd stage) reaches Bareiss."""
-    from ualie import analysis
+    from ualie import analysis, linalg
     from ualie.constructions import build_catalog
 
     g = build_catalog("sl", QQ, n=7)
-    reductions, lifts = [], []
-    rref, lifted = _kernels._rref, _kernels._lifted_kernel
+    n = g.dim
+    basis = [g.basis_vector(j) for j in range(n)]
+    s = [Fraction(1)] * n
+    ad_s = g.ad_rows(s)
+    eliminated = {}  # candidate j -> how many vectors were stored before it
+    stored = []  # the stage's list of stored vectors, once seen
+    original = linalg.kernel_dim_fast
 
-    def spy_rref(field, n, rows, block=None):
-        out = rref(field, n, rows, block)
-        reductions.append((block, out))
-        return out
+    def spy(field, cols, rows, proved=None):
+        if proved is not None:
+            j = next(j for j in range(n) if rows == g.ad_rows(basis[j]) + ad_s)
+            eliminated[j] = len(proved)
+            stored[:] = [proved]
+        return original(field, cols, rows, proved)
 
-    def spy_lifted(basis, n, block=None):
-        lifts.append([block, 0])
-        for item in lifted(basis, n, block):
-            lifts[-1][1] += 1
-            yield item
-
-    monkeypatch.setattr(_kernels, "_rref", spy_rref)
-    monkeypatch.setattr(_kernels, "_lifted_kernel", spy_lifted)
+    monkeypatch.setattr(analysis, "kernel_dim_fast", spy)
     calls = _count_bareiss(monkeypatch)
     res = analysis.c_condition(g)
     assert res.outcome == analysis.OUTCOME_HOLDS
-    assert res.witness[0] == [1 - i % 2 for i in range(g.dim)]
-    blocks = [block for block, _ in reductions if block]
-    assert len(blocks) == 48 and all(block is blocks[0] for block in blocks)
-    assert sum(out is blocks[0] for _, out in reductions) == 1
-    assert [drawn for block, drawn in lifts if block] == [1] * 48
-    assert calls == [(2 * g.dim, g.dim)]
+    assert res.witness[0] == [1 - i % 2 for i in range(n)]
+    assert calls == [(2 * n, n)]
+
+    proved = stored[0]
+    assert len(eliminated) == 11 and len(proved) == 11
+    assert list(eliminated.values()) == list(range(11))  # each stored one vector
+    dense = [[Fraction(v.get(c, 0)) for c in range(n)] for v in proved]
+    zero = [Fraction(0)] * n
+    for v in dense:
+        assert v != zero and g.bracket(s, v) == zero
+    for j in range(n):
+        if j in eliminated:
+            continue
+        before = max((k + 1 for i, k in eliminated.items() if i < j), default=0)
+        assert any(g.bracket(basis[j], v) == zero for v in dense[:before]), j
 
 
 def test_certified_kernel_is_linear_on_singleton_rows():
