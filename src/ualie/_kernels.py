@@ -10,15 +10,12 @@ field, and the exact fallback over Q too.
 
 Every elimination over Q that can be certified runs `_rref` over
 ``WITNESS_FIELD`` (F_p, p = ``WITNESS_PRIME``) on the integer rows, which
-it reads mod p, and lifts kernel vectors read off it to Z by rational
-reconstruction (`_lifted_kernel`), each checked exactly against the integer
-rows.  `certified_kernel` lifts and checks the vector of every free column,
-which gives the canonical span and kernel of `linalg.span_and_kernel`.
-`int_kernel_dim` only has to tell a trivial kernel from a nontrivial one:
-full rank mod p proves the first, and one lifted vector that passes the
-exact check proves the second.  A caller may keep the vectors proved this
-way: a kept vector that every row of a later stack annihilates proves that
-stack's kernel nontrivial with no elimination.
+it reads mod p, and `certified_kernel` lifts the kernel vector of every
+free column to Z by rational reconstruction (`_lifted_kernel`), each
+checked exactly against the integer rows.  The pivots and the lifted
+kernel give `linalg` its canonical spans and kernels and its exact
+nullities; the lifted vectors are exact kernel vectors, which a caller may
+keep.
 
 Two routes over Q, kept apart on purpose: the certificate finds witnesses,
 while `int_rank` is Bareiss alone, so a witness found through the modular
@@ -216,25 +213,3 @@ def certified_kernel(int_rows, n: int):
         return None
     return sorted(basis), kernel
 
-
-def int_kernel_dim(int_rows, n: int, proved=None) -> int:
-    """Zero exactly when the sparse integer rows ``{column: int}`` with n
-    columns have a trivial kernel over Q; otherwise a positive number.
-
-    Full rank mod the witness prime proves nullity 0 (rank_Q >= rank_p).
-    Below it, the kernel vector of the first free column alone is lifted,
-    and checked exactly against every row: passing, it proves nullity >= 1,
-    it is appended to ``proved`` when that list is given, and 1 is
-    returned.  When the lift or the check fails, the answer is n minus the
-    Bareiss rank (`int_rank`) of the rows.
-    """
-    basis = _rref(WITNESS_FIELD, n, int_rows)
-    if len(basis) == n:
-        return 0
-    _, v = next(_lifted_kernel(basis, n))
-    if v is not None and _annihilates(int_rows, n, [v]):
-        if proved is not None:
-            proved.append(v)
-        return 1
-    entries = [row.get(c, 0) for row in int_rows for c in range(n)]
-    return n - int_rank(entries, len(int_rows), n)

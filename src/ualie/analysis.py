@@ -8,11 +8,11 @@ is only probabilistic and the report carries the exact failure bound.
 
 Negative route: a constructive criterion that swaps two carefully chosen
 elements and fixes everything else.  When its hypotheses hold (more than
-four elements, proper derived subalgebra, nonzero center, and a center not
-of size two meeting the derived subalgebra trivially), the swap preserves
-all commutators but breaks additivity, so the algebra cannot have unique
-addition.  The three cases (commutative; center meeting the derived
-subalgebra trivially; nontrivially) pick different swap pairs.
+four elements, proper derived subalgebra, nonzero center, and more than two
+cosets of the derived subalgebra if the center meets it trivially), the
+swap preserves all commutators but breaks additivity, so the algebra cannot
+have unique addition.  The three cases (commutative; center meeting the
+derived subalgebra trivially; nontrivially) pick different swap pairs.
 
 Also here: ampleness of seaweed root sets, a verdict driver combining the
 above, and a central-extension injection that turns any non-perfect algebra
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .liecore import StructureConstantAlgebra
 from .linalg import (
+    Subspace,
     integerized_entries,
     kernel_dim_fast,
     span_and_kernel,
@@ -130,13 +131,13 @@ def c_condition(
     then each basis vector against the sum of all basis vectors, then the
     even-indexed sum against the odd-indexed sum; finally ``trials`` random
     pairs with coordinates uniform in [-bound, bound].  Every candidate is
-    decided by `kernel_dim_fast`: full rank mod the witness prime accepts
-    it, and one lifted kernel vector checked exactly against every row (or
-    Bareiss, when that vector fails) rejects it.  The second stage keeps
-    each such vector: it lies in C(sum) exactly, so a later e_i that it
-    also commutes with (ad(e_i) v = 0 in exact arithmetic) is rejected
-    without elimination.  A found witness is re-verified through an
-    independent exact route before being reported.  Any other field raises
+    decided by the nullity `kernel_dim_fast` reads off the modular
+    certificate (Bareiss, when the certificate fails).  The second stage
+    keeps every kernel vector the certificate proves: each lies in C(sum)
+    exactly, so a later e_i that one of them also commutes with
+    (ad(e_i) v = 0 in exact arithmetic) is rejected without elimination.
+    A found witness is re-verified through an independent exact route
+    before being reported.  Any other field raises
     ``UnsupportedField``: the criterion needs infinitely many scalars.
     """
     F = g.field
@@ -328,11 +329,13 @@ def _nonadditivity_candidates(g):
 def negative_criterion(g: StructureConstantAlgebra):
     """Constructive swap obstruction to unique addition, or None.
 
-    Hypotheses: more than four elements, derived subalgebra proper, center
-    nonzero, and if the center meets the derived subalgebra trivially it must
-    have more than two elements.  The returned description carries the swap
-    pair, the exactly verified bracket obligations, and a non-additivity
-    witness.  Supported over Q and prime fields.
+    Hypotheses: more than four elements, derived subalgebra D proper,
+    center Z nonzero, and if Z meets D trivially, more than two cosets of D;
+    that case swaps a + z1, a + z2 (a in D) when |Z| > 2, and u, u + z for
+    the first basis vector u outside D + Z when Z = {0, z}.  The returned
+    description carries the swap pair, the exactly verified bracket
+    obligations, and a non-additivity witness.  Supported over Q and prime
+    fields.
     """
     F = g.field
     if F.kind not in ("Q", "Fp"):
@@ -347,10 +350,8 @@ def negative_criterion(g: StructureConstantAlgebra):
     if center.dim == 0:
         return None
     zder = center.intersect(derived)
-    if zder.dim == 0:
-        zsize = None if F.kind == "Q" else F.order**center.dim
-        if zsize is not None and zsize <= 2:
-            return None
+    if zder.dim == 0 and _cardinality(F, g.dim - derived.dim) == 2:  # |g/D| >= 2 here
+        return None
 
     if derived.dim == 0:
         case = 1
@@ -368,11 +369,16 @@ def negative_criterion(g: StructureConstantAlgebra):
         ]
     elif zder.dim == 0:
         case = 2
-        a = derived.vector(0)
         z1 = center.vector(0)
-        z2 = center.vector(1) if center.dim >= 2 else vec_scale(F, F.from_int(2), z1)
-        u = vec_add(F, a, z1)
-        v = vec_add(F, a, z2)
+        if _cardinality(F, center.dim) == 2:
+            # Z = {0, z1}: u outside D and D + z1 exists as g/D has > 2 elements
+            rows = [*derived.rows.values(), *center.rows.values()]
+            u = g.basis_vector(Subspace.from_spanning(F, g.dim, rows).completion()[0])
+            v = vec_add(F, u, z1)
+        else:
+            a = derived.vector(0)
+            z2 = center.vector(1) if center.dim >= 2 else vec_scale(F, F.from_int(2), z1)
+            u, v = vec_add(F, a, z1), vec_add(F, a, z2)
         obligations = _swap_obligations(g, derived, u, v)
     else:
         case = 3

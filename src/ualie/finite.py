@@ -554,8 +554,8 @@ def negative_bijection_finite(r: FiniteLieRing) -> FiniteNegativeReport:
     if center == {0}:
         problems.append("center is zero")
     zd = center & derived
-    if zd == {0} and len(center) <= 2:
-        problems.append("center meets derived trivially but has at most 2 elements")
+    if zd == {0} and N <= 2 * len(derived):
+        problems.append("center meets derived trivially and R/derived has at most 2 elements")
     if problems:
         raise HypothesesNotMet("; ".join(problems))
 
@@ -569,10 +569,14 @@ def negative_bijection_finite(r: FiniteLieRing) -> FiniteNegativeReport:
         ]
     elif zd == {0}:
         case = 2
-        a = min(x for x in derived if x != 0)
         zs = sorted(z for z in center if z != 0)
-        z1, z2 = zs[0], zs[1]
-        u, v = r.add[a][z1], r.add[a][z2]
+        if len(zs) == 1:
+            # center {0, z}: u and u + z outside derived, as R/derived > 2
+            u = min(x for x in range(N) if x not in derived and r.add[x][zs[0]] not in derived)
+            v = r.add[u][zs[0]]
+        else:
+            a = min(x for x in derived if x != 0)
+            u, v = r.add[a][zs[0]], r.add[a][zs[1]]
         obligations = _finite_swap_obligations(r, derived, u, v)
     else:
         case = 3

@@ -151,10 +151,8 @@ class StructureConstantAlgebra:
         return self._center
 
     def mutual_centralizer_dim(self, a, b) -> int:
-        """Zero exactly when C(a) and C(b) meet only in zero, otherwise
-        positive: `kernel_dim_fast` of the stacked adjoints.  Over Q a
-        positive value is proved exactly but need not be the dimension of
-        the intersection."""
+        """The dimension of C(a) ∩ C(b): `kernel_dim_fast` of the stacked
+        adjoints."""
         return kernel_dim_fast(self.field, self.dim, self.ad_rows(a) + self.ad_rows(b))
 
     # -- derived structure --------------------------------------------------
@@ -246,6 +244,8 @@ class StructureConstantAlgebra:
             dim = obj["dim"]
             if type(dim) is not int:
                 raise TypeError(f"dim must be a JSON integer, got {dim!r}")
+            if not 0 <= dim <= 1 << 16:  # lists of length dim are built per basis index
+                raise ValueError(f"dim must lie in [0, {1 << 16}], got {dim}")
             name = obj.get("name", "algebra")
             if not isinstance(name, str):
                 raise TypeError(f"name must be a JSON string, got {name!r}")

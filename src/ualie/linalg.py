@@ -11,10 +11,9 @@ Over Q the sparse row systems (the stacked adjoints behind the center and
 the C-condition, the brackets behind the derived subalgebra) are integerized
 and reduced over the witness prime field, and certified by `_kernels`.
 `span_and_kernel` reads the canonical RREF straight off the pivots and the
-whole lifted kernel of `_kernels.certified_kernel`.  `kernel_dim_fast` only
-tells a trivial kernel from a nontrivial one: full rank mod p proves the
-first, and one lifted kernel vector checked exactly proves the second, with
-Bareiss as the fallback; the caller may keep the vectors it proves.
+whole lifted kernel of `_kernels.certified_kernel`, and `kernel_dim_fast`
+reads the nullity off the same certificate, with Bareiss as its fallback;
+the caller may keep the kernel vectors it proves.
 Everything else -- the fallback when the certificate fails, every other
 field, and the spans and intersections of subspaces -- runs `_rref` over
 the field itself.
@@ -166,18 +165,23 @@ def span_and_kernel(field, n: int, rows: list):
 
 
 def kernel_dim_fast(field, n: int, rows: list, proved=None) -> int:
-    """Zero exactly when the matrix with sparse rows ``rows`` (as in
-    `span_and_kernel`) has a trivial kernel; otherwise positive.
+    """The nullity of the matrix with sparse rows ``rows`` (as in
+    `span_and_kernel`).
 
-    Over Q this is `_kernels.int_kernel_dim` of the integerized rows: a
-    positive value is proved exactly, by one lifted kernel vector or by
-    Bareiss, but it is the nullity only on the Bareiss route.  A lifted
-    vector that passes is appended to ``proved`` when that list is given.
-    Over every other field it is the nullity, n minus the rank from one
-    `_rref`.
+    Over Q: the size of the lifted kernel of `_kernels.certified_kernel`
+    on the integerized rows, whose exact vectors are appended to ``proved``
+    when that list is given, or n minus the Bareiss rank (`int_rank`) when
+    the certificate fails.  Elsewhere: n minus the rank from one `_rref`.
     """
     if field.kind == "Q":
-        return _kernels.int_kernel_dim([_integer_row(row) for row in rows], n, proved)
+        int_rows = [_integer_row(row) for row in rows]
+        cert = _kernels.certified_kernel(int_rows, n)
+        if cert is None:
+            entries = [row.get(c, 0) for row in int_rows for c in range(n)]
+            return n - _kernels.int_rank(entries, len(int_rows), n)
+        if proved is not None:
+            proved.extend(cert[1].values())
+        return len(cert[1])
     return n - len(_rref(field, n, rows))
 
 

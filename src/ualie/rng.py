@@ -48,12 +48,17 @@ class XorShift64Star:
         return ((x * _MULT) & MASK64) >> 32
 
     def below(self, m: int) -> int:
-        """Uniform integer in [0, m) by rejection sampling."""
+        """Uniform integer in [0, m) by rejection sampling on draws of
+        max(1, ceil(bitlen(m - 1) / 32)) words, high word first."""
         if m <= 0:
             raise ValueError("below() needs a positive bound")
-        limit = (1 << 32) - ((1 << 32) % m)
+        words = max(1, -(-(m - 1).bit_length() // 32))
+        span = 1 << (32 * words)
+        limit = span - span % m
         while True:
-            r = self.next_u32()
+            r = 0
+            for _ in range(words):
+                r = (r << 32) | self.next_u32()
             if r < limit:
                 return r % m
 

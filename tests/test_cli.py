@@ -149,6 +149,8 @@ MALFORMED_INPUTS = {
     "dim-float": (_gl2_with(dim=4.7), "algebra"),
     "dim-bool": ({"field": {"kind": "Q"}, "dim": True, "brackets": []}, "algebra"),
     "dim-string": (_gl2_with(dim="4"), "algebra"),
+    "dim-huge": ({"field": {"kind": "Q"}, "dim": 10**9}, "algebra"),
+    "dim-negative": (_gl2_with(dim=-1), "algebra"),
     "bracket-index-float": (_gl2_first_bracket(i=0.9, j=1.5), "algebra"),
     "bracket-index-bool": (_gl2_first_bracket(i=False, j=True), "algebra"),
     "ring-order-0": ({"order": 0, "add": [], "bracket": []}, "ring"),
@@ -177,6 +179,20 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
         assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
         assert err.startswith("input error:") and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("counterexample", "injection", "--builtin", "s2", "--B", "2147483648"),
+    ("analyze", "--builtin", "example_5_7", "--B", "2147483648"),
+    ("counterexample", "injection", "--builtin", "s2", "--field", "Fp:4294967311"),
+], ids=["injection-B-2^31", "analyze-B-2^31", "injection-p-past-2^32"])
+def test_draws_past_32_bits_finish(capsys, argv):
+    """Sampling ranges wider than 2^32 (|x| <= B with B >= 2^31, or a
+    prime past 2^32) once never returned."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and json.loads(out)
 
 
 @pytest.mark.parametrize("raw", [

@@ -530,6 +530,40 @@ def test_negative_bijection_case1_commutative():
     assert rep.case == 1
 
 
+def test_the_swap_covers_a_two_element_center_meeting_derived_trivially():
+    """Rings with Z ∩ D = 0, |Z| = 2 and |R/D| > 2 (D the derived subring)
+    fell outside the old hypothesis |Z| > 2.  On every such catalog ring over
+    F_2 and F_3 of order <= 1024, the algebra's swap u <-> u + z must
+    preserve every commutator of its table and break additivity, and the
+    table version must take case 2 as well."""
+    from ualie import analysis as an
+
+    seen = []
+    for g in _small_catalog(1024):
+        p = g.field.p
+        if p > 3:
+            continue
+        derived, center = g.derived_subalgebra(), g.center()
+        if center.dim == 0 or derived.dim == g.dim or center.intersect(derived).dim:
+            continue
+        if p**center.dim > 2 or p ** (g.dim - derived.dim) <= 2 or p**g.dim <= 4:
+            continue
+        seen.append((g.name, p))
+        res = an.negative_criterion(g)
+        assert res is not None and res.case == 2, g.name
+        u, v = res.description.swap
+        c = res.description.nonadditivity["c"]
+        r = fin.from_algebra(g)
+        iu, iv, ic = (fin.vector_index(x, p) for x in (u, v, c))
+        table = list(range(r.order))
+        table[iu], table[iv] = iv, iu
+        assert fin.verify_bijection(r, r, table), g.name
+        assert table[r.add[iu][ic]] != r.add[table[iu]][table[ic]], g.name
+        rep = fin.negative_bijection_finite(r)
+        assert rep.case == 2 and rep.commutator_scan_ok, g.name
+    assert {("t(2)", 2), ("t(3)", 2), ("t(4)", 2)} <= set(seen), seen
+
+
 def test_negative_bijection_hypothesis_failures_are_named():
     with pytest.raises(HypothesesNotMet) as ei:
         fin.negative_bijection_finite(fin.cyclic_ring(4))

@@ -1,6 +1,6 @@
 """Integer kernels: Bareiss rank over Z, the one sparse reducer over any
-field, and the lifted mod-p certificate, whose nullities must agree with
-Bareiss and fall back to it."""
+field, and the lifted mod-p certificate, whose nullities (read by
+`linalg.kernel_dim_fast`) must agree with Bareiss and fall back to it."""
 
 import math
 import random
@@ -9,6 +9,7 @@ import time
 from dense_rref import dense_rank
 
 from ualie import _kernels
+from ualie.linalg import kernel_dim_fast
 from ualie.scalars import QQ, PrimeField
 
 WITNESS_FIELD = _kernels.WITNESS_FIELD
@@ -45,7 +46,7 @@ def test_int_rank_is_exact_where_the_witness_prime_vanishes():
     p = _kernels.WITNESS_PRIME
     assert len(_kernels._rref(WITNESS_FIELD, 2, [{0: p}, {1: p}])) == 0
     assert _kernels.int_rank([p, 0, 0, p], 2, 2) == 2
-    assert _kernels.int_kernel_dim([{0: p}, {1: p}], 2) == 0
+    assert kernel_dim_fast(QQ, 2, [{0: p}, {1: p}]) == 0
 
 
 def _certified_nullity(int_rows, cols):
@@ -55,7 +56,7 @@ def _certified_nullity(int_rows, cols):
     return len(kernel)
 
 
-def test_int_kernel_dim_complements_rank():
+def test_kernel_dim_fast_complements_rank():
     rng = random.Random(13)
     for _ in range(40):
         rows = rng.randint(1, 5)
@@ -64,8 +65,7 @@ def test_int_kernel_dim_complements_rank():
         r = _kernels.int_rank(entries, rows, cols)
         sparse = _sparse(entries, rows, cols)
         assert _certified_nullity(sparse, cols) == cols - r
-        k = _kernels.int_kernel_dim(sparse, cols)
-        assert (k == 0) == (r == cols) and k <= cols - r
+        assert kernel_dim_fast(QQ, cols, sparse) == cols - r
 
 
 def _count_bareiss(monkeypatch):
@@ -87,7 +87,7 @@ def _product(rng, rows, inner, cols, lo, hi):
     return [sum(b[r][t] * c[t][j] for t in range(inner)) for r in range(rows) for j in range(cols)]
 
 
-def test_int_kernel_dim_certifies_rank_deficient_products(monkeypatch):
+def test_kernel_dim_fast_certifies_rank_deficient_products(monkeypatch):
     """B*C with inner dimension < cols has a kernel; small entries lift."""
     rng = random.Random(2031)
     cases = []
@@ -101,11 +101,11 @@ def test_int_kernel_dim_certifies_rank_deficient_products(monkeypatch):
     for entries, rows, cols, nullity in cases:
         sparse = _sparse(entries, rows, cols)
         assert _certified_nullity(sparse, cols) == nullity >= 1
-        assert _kernels.int_kernel_dim(sparse, cols) == 1  # one lifted vector
+        assert kernel_dim_fast(QQ, cols, sparse) == nullity
     assert calls == []  # every one is decided by the lifted certificate
 
 
-def test_int_kernel_dim_falls_back_when_kernel_entries_do_not_lift(monkeypatch):
+def test_kernel_dim_fast_falls_back_when_kernel_entries_do_not_lift(monkeypatch):
     """Kernel (1, M1, M1*M2) of [[M1, -1, 0], [0, M2, -1]] has entries past
     sqrt(p/2), so the lift or its exact check fails and Bareiss decides."""
     rng = random.Random(4099)
@@ -113,7 +113,7 @@ def test_int_kernel_dim_falls_back_when_kernel_entries_do_not_lift(monkeypatch):
     for _ in range(20):
         m1, m2 = rng.randint(bound + 1, 10**9), rng.randint(bound + 1, 10**9)
         calls = _count_bareiss(monkeypatch)
-        assert _kernels.int_kernel_dim([{0: m1, 1: -1}, {1: m2, 2: -1}], 3) == 1
+        assert kernel_dim_fast(QQ, 3, [{0: m1, 1: -1}, {1: m2, 2: -1}]) == 1
         assert calls == [(2, 3)]
         monkeypatch.undo()
         # a random product with big entries: the answer still matches Bareiss
@@ -123,15 +123,16 @@ def test_int_kernel_dim_falls_back_when_kernel_entries_do_not_lift(monkeypatch):
         sparse = _sparse(entries, cols, cols)
         cert = _kernels.certified_kernel(sparse, cols)
         assert cert is None or len(cert[1]) == cols - r
-        k = _kernels.int_kernel_dim(sparse, cols)
-        assert (k == 0) == (r == cols) and k <= cols - r
+        assert kernel_dim_fast(QQ, cols, sparse) == cols - r
 
 
-def test_int_kernel_dim_exact_check_rejects_a_lift_that_is_only_a_kernel_mod_p(monkeypatch):
+def test_kernel_dim_fast_exact_check_rejects_a_lift_that_is_only_a_kernel_mod_p(monkeypatch):
     """[p, 0; 0, 1] mod p has kernel (1, 0), which lifts, but p * 1 != 0."""
     p = _kernels.WITNESS_PRIME
     calls = _count_bareiss(monkeypatch)
-    assert _kernels.int_kernel_dim([{0: p}, {1: 1}], 2) == 0
+    proved = []
+    assert kernel_dim_fast(QQ, 2, [{0: p}, {1: 1}], proved) == 0
+    assert proved == []  # a vector that fails the exact check is never kept
     assert calls == [(2, 2)]
 
 
@@ -158,11 +159,11 @@ def test_c_condition_rejections_on_sl5_do_not_reach_bareiss(monkeypatch):
 
 def test_c_condition_stage_2_rejects_by_proved_vectors_on_sl7(monkeypatch):
     """sl(7) rejects all 48 candidates e_j against the sum s of the basis.
-    Only 11 of them are eliminated, each proving and storing one exact
-    vector of C(s) with no Bareiss; every other e_j is skipped because a
-    vector stored before it commutes with e_j, which is checked here with
-    the algebra's own bracket.  Only the witness (found by the even/odd
-    stage) reaches Bareiss."""
+    Only 6 of them are eliminated, each storing its whole certified kernel,
+    as many exact vectors of C(e_j) ∩ C(s) as its nullity, with no Bareiss;
+    every other e_j is skipped because a vector stored before it commutes
+    with e_j, which is checked here with the algebra's own bracket.  Only
+    the witness (found by the even/odd stage) reaches Bareiss."""
     from fractions import Fraction
 
     from ualie import analysis, linalg
@@ -173,16 +174,17 @@ def test_c_condition_stage_2_rejects_by_proved_vectors_on_sl7(monkeypatch):
     basis = [g.basis_vector(j) for j in range(n)]
     s = [Fraction(1)] * n
     ad_s = g.ad_rows(s)
-    eliminated = {}  # candidate j -> how many vectors were stored before it
+    eliminated = {}  # candidate j -> (vectors stored before it, its nullity)
     stored = []  # the stage's list of stored vectors, once seen
     original = linalg.kernel_dim_fast
 
     def spy(field, cols, rows, proved=None):
+        k = original(field, cols, rows, proved)
         if proved is not None:
             j = next(j for j in range(n) if rows == g.ad_rows(basis[j]) + ad_s)
-            eliminated[j] = len(proved)
+            eliminated[j] = (len(proved) - k, k)
             stored[:] = [proved]
-        return original(field, cols, rows, proved)
+        return k
 
     monkeypatch.setattr(analysis, "kernel_dim_fast", spy)
     calls = _count_bareiss(monkeypatch)
@@ -192,16 +194,20 @@ def test_c_condition_stage_2_rejects_by_proved_vectors_on_sl7(monkeypatch):
     assert calls == [(2 * n, n)]
 
     proved = stored[0]
-    assert len(eliminated) == 11 and len(proved) == 11
-    assert list(eliminated.values()) == list(range(11))  # each stored one vector
+    assert len(eliminated) == 6
+    counts = list(eliminated.values())
+    assert all(k > 0 for _, k in counts)
+    assert [before for before, _ in counts] == [sum(k for _, k in counts[:i]) for i in range(6)]
+    assert len(proved) == sum(k for _, k in counts)
     dense = [[Fraction(v.get(c, 0)) for c in range(n)] for v in proved]
     zero = [Fraction(0)] * n
-    for v in dense:
-        assert v != zero and g.bracket(s, v) == zero
+    for j, (before, k) in eliminated.items():
+        for v in dense[before : before + k]:
+            assert v != zero and g.bracket(s, v) == zero and g.bracket(basis[j], v) == zero
     for j in range(n):
         if j in eliminated:
             continue
-        before = max((k + 1 for i, k in eliminated.items() if i < j), default=0)
+        before = max((b + k for i, (b, k) in eliminated.items() if i < j), default=0)
         assert any(g.bracket(basis[j], v) == zero for v in dense[:before]), j
 
 

@@ -117,8 +117,27 @@ def test_span_and_kernel_match_the_dense_oracle():
                 M.append(vec_add(F, M[0], vec_scale(F, F.from_int(2), M[1])))
             span, ker = span_and_kernel(F, n, to_sparse(F, M))
             assert (span, ker) == dense_span_and_kernel(F, M, n)
-            if F.kind != "Q":
-                assert kernel_dim_fast(F, n, to_sparse(F, M)) == ker.dim
+            assert kernel_dim_fast(F, n, to_sparse(F, M)) == ker.dim
+
+
+def test_kernel_dim_fast_is_the_nullity_over_every_field():
+    """n minus the dense oracle's rank, over Q, F_7 and F_9; over Q the
+    vectors it proves are as many and each is killed by every row."""
+    rng = random.Random(9127)
+    for F in (QQ, PrimeField(7), F9):
+        for _ in range(60):
+            m, n = rng.randint(0, 8), rng.randint(1, 8)
+            M = random_rows(rng, F, m, n)
+            if m > 1 and rng.random() < 0.5:  # force a dependent row
+                M.append(vec_add(F, M[0], vec_scale(F, F.from_int(2), M[1])))
+            proved = []
+            k = kernel_dim_fast(F, n, to_sparse(F, M), proved)
+            assert k == n - dense_rank(F, M, n)
+            if F.kind == "Q":
+                assert len(proved) == k
+                for v in proved:
+                    dense_v = [QQ.from_int(v.get(c, 0)) for c in range(n)]
+                    assert vector_is_zero(QQ, matrix_times(QQ, M, dense_v))
 
 
 def test_kernel_vectors_are_killed():
