@@ -18,6 +18,13 @@ Also here: ampleness of seaweed root sets, a verdict driver combining the
 above, and a central-extension injection that turns any non-perfect algebra
 over a field with at least three scalars into a commutator-preserving,
 non-additive embedding witness.
+
+A `VerdictReport` reads its header (name, field, dimension, center
+dimension, derived codimension) off the algebra and starts UNKNOWN; the
+route that decides the question fills in only what it decides.
+`check_ample` returns the dict that becomes a seaweed report's ``seaweed``
+block, and `negative_criterion` the `BijectionDescription` (case, swap,
+obligations, non-additivity witness) that becomes its ``bijection``.
 """
 
 from __future__ import annotations
@@ -276,17 +283,15 @@ def refutation_witness(g: StructureConstantAlgebra, A, B):
 
 
 class BijectionDescription:
-    def __init__(self, kind: str, swap: tuple, obligations: list, nonadditivity: dict,
-                 verified: bool):
-        self.kind = kind  # "swap_pair"
+    def __init__(self, case: int, swap: tuple, obligations: list, nonadditivity: dict):
+        self.case = case  # 1, 2, or 3
         self.swap = swap  # (u, v) coordinate lists
-        self.obligations = obligations  # [(text, bool)]
+        self.obligations = obligations  # [(text, bool)], all verified
         self.nonadditivity = nonadditivity  # {"c": vec, "left": vec, "right": vec}
-        self.verified = verified
 
     def to_json_dict(self, field):
         return {
-            "kind": self.kind,
+            "kind": "swap_pair",
             "swap": {
                 "u": _format_vec(field, self.swap[0]),
                 "v": _format_vec(field, self.swap[1]),
@@ -297,14 +302,8 @@ class BijectionDescription:
                 "alpha(u+c)": _format_vec(field, self.nonadditivity["left"]),
                 "alpha(u)+alpha(c)": _format_vec(field, self.nonadditivity["right"]),
             },
-            "verified": self.verified,
+            "verified": True,
         }
-
-
-class NegativeCriterionResult:
-    def __init__(self, case: int, description: BijectionDescription):
-        self.case = case  # 1, 2, or 3
-        self.description = description
 
 
 def _cardinality(field, dim):
@@ -326,16 +325,16 @@ def _nonadditivity_candidates(g):
             yield vec_add(F, g.basis_vector(k), g.basis_vector(l))
 
 
-def negative_criterion(g: StructureConstantAlgebra):
+def negative_criterion(g: StructureConstantAlgebra) -> BijectionDescription | None:
     """Constructive swap obstruction to unique addition, or None.
 
     Hypotheses: more than four elements, derived subalgebra D proper,
     center Z nonzero, and if Z meets D trivially, more than two cosets of D;
     that case swaps a + z1, a + z2 (a in D) when |Z| > 2, and u, u + z for
     the first basis vector u outside D + Z when Z = {0, z}.  The returned
-    description carries the swap pair, the exactly verified bracket
-    obligations, and a non-additivity witness.  Supported over Q and prime
-    fields.
+    description carries the case, the swap pair, the exactly verified
+    bracket obligations, and a non-additivity witness.  Supported over Q and
+    prime fields.
     """
     F = g.field
     if F.kind not in ("Q", "Fp"):
@@ -408,14 +407,8 @@ def negative_criterion(g: StructureConstantAlgebra):
         raise HypothesesNotMet("no non-additivity witness found (ring too small?)")
     left = vec_add(F, u, cwit)  # alpha fixes u + c
     right = vec_add(F, v, cwit)  # alpha(u) + alpha(c) = v + c
-    description = BijectionDescription(
-        kind="swap_pair",
-        swap=(u, v),
-        obligations=obligations,
-        nonadditivity={"c": cwit, "left": left, "right": right},
-        verified=True,
-    )
-    return NegativeCriterionResult(case, description)
+    return BijectionDescription(case, (u, v), obligations,
+                                {"c": cwit, "left": left, "right": right})
 
 
 def _swap_obligations(g, derived, u, v):
@@ -434,19 +427,13 @@ def _swap_obligations(g, derived, u, v):
 # seaweed ampleness
 
 
-class AmpleResult:
-    def __init__(self, ample: bool, span_dim: int, components: int, root_count: int):
-        self.ample = ample
-        self.span_dim = span_dim
-        self.components = components
-        self.root_count = root_count
-
-
-def check_ample(roots, n: int) -> AmpleResult:
+def check_ample(roots, n: int) -> dict:
     """Do the root differences e_i - e_j span the full traceless space?
 
     Equivalently: is the graph on {1..n} with one edge per included root
-    connected?  Both computations run and must agree.
+    connected?  Both computations run and must agree.  Returns the
+    ``seaweed`` block of a report: ``root_count``, ``span_dim``,
+    ``components`` and ``ample``.
     """
     roots = sorted(set(roots))
     entries = []
@@ -471,7 +458,8 @@ def check_ample(roots, n: int) -> AmpleResult:
     components = len({find(i) for i in range(1, n + 1)})
     if span_dim != n - components:
         raise HypothesesNotMet("rank/connectivity bookkeeping disagrees")
-    return AmpleResult(span_dim == n - 1, span_dim, components, len(roots))
+    return {"root_count": len(roots), "span_dim": span_dim, "components": components,
+            "ample": span_dim == n - 1}
 
 
 # ---------------------------------------------------------------------------
@@ -598,23 +586,23 @@ def _sparse_dot(F, u, row):
 
 
 class VerdictReport:
-    def __init__(self, algebra: str, field: dict, dim: int, center_dim: int,
-                 derived_codim: int, verdict: str, rule: str, witness: dict | None,
-                 bijection: dict | None, confidence: dict | None, seed: int,
-                 open_problem_note: str | None, seaweed: dict | None = None):
-        self.algebra = algebra
-        self.field = field
-        self.dim = dim
-        self.center_dim = center_dim
-        self.derived_codim = derived_codim
-        self.verdict = verdict
-        self.rule = rule
-        self.witness = witness
-        self.bijection = bijection
-        self.confidence = confidence
+    """The report on one algebra: its header is read off ``g`` here, and the
+    verdict starts UNKNOWN under rule NONE until a route decides it."""
+
+    def __init__(self, g: StructureConstantAlgebra, seed: int):
+        self.algebra = g.name
+        self.field = g.field.to_json()
+        self.dim = g.dim
+        self.center_dim = g.center().dim
+        self.derived_codim = g.dim - g.derived_subalgebra().dim
+        self.verdict = VERDICT_UNKNOWN
+        self.rule = RULE_NONE
+        self.witness = None
+        self.bijection = None
+        self.confidence = None
         self.seed = seed
-        self.open_problem_note = open_problem_note
-        self.seaweed = seaweed
+        self.open_problem_note = None
+        self.seaweed = None
 
     def to_json_dict(self):
         out = {
@@ -653,22 +641,7 @@ def verdict(
     search; over an extension field no criterion is routed.
     """
     F = g.field
-    center = g.center()
-    derived = g.derived_subalgebra()
-    report = VerdictReport(
-        algebra=g.name,
-        field=F.to_json(),
-        dim=g.dim,
-        center_dim=center.dim,
-        derived_codim=g.dim - derived.dim,
-        verdict=VERDICT_UNKNOWN,
-        rule=RULE_NONE,
-        witness=None,
-        bijection=None,
-        confidence=None,
-        seed=seed,
-        open_problem_note=None,
-    )
+    report = VerdictReport(g, seed)
 
     if g.dim == 0:
         if F.kind == "Q":
@@ -687,7 +660,7 @@ def verdict(
             "fields are routed."
         )
         return report
-    if F.kind == "Q" and center.dim == 0:
+    if F.kind == "Q" and report.center_dim == 0:
         res = c_condition(g, trials=trials, seed=child_seed(seed, OFFSET_C_CONDITION),
                           bound=bound)
         if res.outcome == OUTCOME_HOLDS:
@@ -706,10 +679,10 @@ def verdict(
     if neg is not None:
         report.verdict = VERDICT_NOT_UA
         report.rule = RULE_NEG_CASE[neg.case]
-        report.bijection = neg.description.to_json_dict(F)
+        report.bijection = neg.to_json_dict(F)
         return report
     if F.kind == "Q":
-        if derived.dim == g.dim:
+        if report.derived_codim == 0:
             report.open_problem_note = NOTE_OPEN_PERFECT_CENTER
         else:
             report.open_problem_note = (
@@ -760,61 +733,35 @@ def seaweed_verdict(
     root vectors) is verified exactly to have trivially intersecting
     centralizers, giving UA over an infinite field without any search.
     Non-ample root sets have nonzero center and proper derived subalgebra,
-    so the swap criterion applies.
+    so the swap criterion applies.  Every case but the recipe's goes to
+    `verdict`.
     """
     g = build_seaweed(spec, field)
-    amp = check_ample(spec.roots(), spec.n)
-    info = {
-        "n": spec.n,
-        "top": list(spec.top),
-        "bottom": list(spec.bottom),
-        "root_count": amp.root_count,
-        "span_dim": amp.span_dim,
-        "components": amp.components,
-        "ample": amp.ample,
-    }
-    if not amp.ample or field.kind != "Q":
+    info = {"n": spec.n, "top": list(spec.top), "bottom": list(spec.bottom),
+            **check_ample(spec.roots(), spec.n)}
+    report = None
+    if info["ample"] and field.kind == "Q":
+        F, n, m = field, spec.n, info["root_count"]
+        # diagonal entries n-1, n-2, ..., 0 are pairwise distinct; rewrite in
+        # the H_k = E_kk - E_(k+1)(k+1) coordinates via prefix sums of the
+        # entries shifted to trace zero (the shift, (n-1)/2, changes nothing:
+        # H_k are traceless); b is the sum of the m root vectors
+        shift = F.div(F.from_int(n - 1), F.from_int(2))
+        a = [F.zero] * g.dim
+        acc = F.zero
+        for k in range(n - 1):
+            acc = F.add(acc, F.sub(F.from_int(n - 1 - k), shift))
+            a[m + k] = acc
+        b = [F.one] * m + [F.zero] * (n - 1)
+        # an ample root set always passes; the full search is the fallback
+        if g.mutual_centralizer_dim(a, b) == 0:
+            if not _verify_witness_exactly(g, a, b):
+                raise HypothesesNotMet("recipe witness failed exact re-verification")
+            report = VerdictReport(g, seed)
+            report.verdict = VERDICT_UA
+            report.rule = RULE_AMPLE_SEAWEED
+            report.witness = {"a": _format_vec(F, a), "b": _format_vec(F, b)}
+    if report is None:
         report = verdict(g, trials=trials, seed=seed, bound=bound)
-        report.seaweed = info
-        return report
-
-    F = field
-    roots = sorted(spec.roots())
-    n = spec.n
-    # diagonal entries n-1, n-2, ..., 0 are pairwise distinct; rewrite in the
-    # H_k = E_kk - E_(k+1)(k+1) coordinates via prefix sums of the entries
-    # shifted to trace zero (the shift, (n-1)/2, changes nothing: H_k are
-    # traceless)
-    shift = F.div(F.from_int(n - 1), F.from_int(2))
-    a = [F.zero] * g.dim
-    acc = F.zero
-    for k in range(n - 1):
-        acc = F.add(acc, F.sub(F.from_int(n - 1 - k), shift))
-        a[len(roots) + k] = acc
-    b = [F.zero] * g.dim
-    for k in range(len(roots)):
-        b[k] = F.one
-    if g.mutual_centralizer_dim(a, b) != 0:
-        # cannot happen for an ample root set; fall back to the full search
-        report = verdict(g, trials=trials, seed=seed, bound=bound)
-        report.seaweed = info
-        return report
-    if not _verify_witness_exactly(g, a, b):
-        raise HypothesesNotMet("recipe witness failed exact re-verification")
-    center = g.center()
-    derived = g.derived_subalgebra()
-    return VerdictReport(
-        algebra=g.name,
-        field=F.to_json(),
-        dim=g.dim,
-        center_dim=center.dim,
-        derived_codim=g.dim - derived.dim,
-        verdict=VERDICT_UA,
-        rule=RULE_AMPLE_SEAWEED,
-        witness={"a": _format_vec(F, a), "b": _format_vec(F, b)},
-        bijection=None,
-        confidence=None,
-        seed=seed,
-        open_problem_note=None,
-        seaweed=info,
-    )
+    report.seaweed = info
+    return report

@@ -4,7 +4,10 @@ Exit codes: 0 = a verdict or report was produced (UNKNOWN counts — the open
 cases are open, not errors); 1 = the input failed validation or an analysis
 precondition; 2 = usage error.  All randomness flows from the single --seed;
 sub-operations derive child seeds by fixed offsets, so reports are
-byte-deterministic given the same inputs and flags.
+byte-deterministic given the same inputs and flags.  ``analyze`` and
+``counterexample`` read their algebra, a file or a ``--builtin``, through
+one path that refuses a Jacobi failure naming the basis triple; a builtin
+past its size cap is a usage error.
 """
 
 from __future__ import annotations
@@ -61,38 +64,41 @@ def _text_lines(value, prefix):
 # input loading
 
 
-def _load_algebra(path: str) -> StructureConstantAlgebra:
+def _read_json(path: str, hint: str = ""):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise _InputError(f"cannot read {path}{hint}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # syntax, encoding, digit limit, nesting
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_algebra(path: str) -> StructureConstantAlgebra:
     try:
-        return StructureConstantAlgebra.from_json_dict(data)
+        return StructureConstantAlgebra.from_json_dict(_read_json(path))
     except UalieError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _builtin_algebra(args, field) -> StructureConstantAlgebra:
-    params = {}
-    for key in ("n", "k", "d"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    try:
-        return constructions.build_catalog(args.builtin, field, **params)
-    except UalieError as exc:
-        raise _Usage(str(exc)) from exc
-
-
-def _resolve_algebra(args, field) -> StructureConstantAlgebra:
-    if getattr(args, "builtin", None):
-        return _builtin_algebra(args, field)
-    if getattr(args, "file", None):
-        return _load_algebra(args.file)
-    raise _Usage("provide an input file or --builtin NAME")
+def _resolve_algebra(args) -> StructureConstantAlgebra:
+    """The --builtin or file algebra of ``analyze`` and ``counterexample``,
+    refused when it fails the Jacobi identity."""
+    field = parse_field_flag(args.field)
+    if args.builtin:
+        try:
+            g = constructions.build_catalog(args.builtin, field, n=args.n, k=args.k, d=args.d)
+        except UalieError as exc:
+            raise _Usage(str(exc)) from exc
+    elif args.file:
+        g = _load_algebra(args.file)
+    else:
+        raise _Usage("provide an input file or --builtin NAME")
+    failure = g.validate().first_failure()
+    if failure:
+        i, j, k, _ = failure
+        raise _InputError(f"Jacobi identity fails at basis triple ({i},{j},{k})")
+    return g
 
 
 _FINITE_BUILTINS = ("klein", "z<m>", "heisenberg_f2", "heisenberg_f3")
@@ -116,15 +122,7 @@ def _load_ring(source: str):
 
         return finite.from_algebra(
             constructions.build_heisenberg(PrimeField(p), 1))
-    try:
-        with open(source) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise _InputError(
-            f"cannot read {source} (builtins: {', '.join(_FINITE_BUILTINS)}): {exc}"
-        ) from exc
-    except (ValueError, RecursionError) as exc:  # syntax, encoding, digit limit, nesting
-        raise _InputError(f"{source} is not valid JSON: {exc}") from exc
+    data = _read_json(source, f" (builtins: {', '.join(_FINITE_BUILTINS)})")
     try:
         ring = finite.FiniteLieRing.from_json_dict(data, name=source)
     except UalieError as exc:
@@ -170,12 +168,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    field = parse_field_flag(args.field)
-    g = _resolve_algebra(args, field)
-    rep = g.validate()
-    if not rep.ok:
-        i, j, k, _ = rep.first_failure()
-        raise _InputError(f"Jacobi identity fails at basis triple ({i},{j},{k})")
+    g = _resolve_algebra(args)
     report = analysis.verdict(g, trials=args.trials, seed=args.seed, bound=args.B)
     _emit(report.to_json_dict(), args)
     return 0
@@ -225,9 +218,7 @@ def _cmd_finite(args) -> int:
             "wua": wua,
             "counterexample": counterexample,
         }
-        _emit(payload, args)
-        return 0
-    if args.mode == "against":
+    elif args.mode == "against":
         r = _load_ring(args.ring)
         s = _load_ring(args.target)
         ok, evidence = finite.ua_against(r, s)
@@ -241,55 +232,27 @@ def _cmd_finite(args) -> int:
                      if not ok else
                      "no counterexample against this target; proves nothing global"),
         }
-        _emit(payload, args)
-        return 0
-    if args.mode == "field":
-        rep = finite.semigroup_aut_report(args.p, args.fn)
-        payload = {
-            "q": rep.q,
-            "p": rep.p,
-            "n": rep.n,
-            "brute_count": rep.brute_count,
-            "phi_q_minus_1": rep.phi_q_minus_1,
-            "field_aut_count": rep.field_aut_count,
-            "additive_count": rep.additive_count,
-            "nonadditive": rep.nonadditive,
-        }
-        _emit(payload, args)
-        return 0
-    raise _Usage("finite supports: wua, against, field")
+    else:  # field
+        payload = finite.semigroup_aut_report(args.p, args.fn)
+    _emit(payload, args)
+    return 0
 
 
 def _cmd_counterexample(args) -> int:
-    field = parse_field_flag(args.field)
-    g = _resolve_algebra(args, field)
-    rep = g.validate()
-    if not rep.ok:
-        raise _InputError("input algebra fails the Jacobi identity")
+    g = _resolve_algebra(args)
+    F = g.field
     if args.kind == "negcrit":
         res = analysis.negative_criterion(g)
-        if res is None:
-            payload = {
-                "algebra": g.name,
-                "applicable": False,
-                "case": None,
-                "bijection": None,
-                "note": "negative-criterion hypotheses do not hold",
-            }
-        else:
-            payload = {
-                "algebra": g.name,
-                "applicable": True,
-                "case": res.case,
-                "bijection": res.description.to_json_dict(g.field),
-                "note": None,
-            }
-        _emit(payload, args)
-        return 0
-    if args.kind == "injection":
+        payload = {
+            "algebra": g.name,
+            "applicable": res is not None,
+            "case": None if res is None else res.case,
+            "bijection": None if res is None else res.to_json_dict(F),
+            "note": "negative-criterion hypotheses do not hold" if res is None else None,
+        }
+    else:  # injection
         res = analysis.central_extension_injection(
             g, samples=args.samples, seed=args.seed, bound=args.B)
-        F = g.field
         payload = {
             "algebra": g.name,
             "extended": res.extended.name,
@@ -301,9 +264,8 @@ def _cmd_counterexample(args) -> int:
             "obligations": [{"check": t, "ok": ok} for t, ok in res.obligations],
             "all_ok": res.all_ok,
         }
-        _emit(payload, args)
-        return 0
-    raise _Usage("counterexample supports: negcrit, injection")
+    _emit(payload, args)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +310,18 @@ def _add_run_flags(parser, suppress: bool):
                         help="Q | Fp:<p> | Fq:<p>,<n> (for builtins)")
 
 
+def _add_algebra_input(parser):
+    """The algebra of ``analyze`` and ``counterexample``: a file or a builtin.
+
+    Not a parent parser: a parent's positionals would come before the
+    command's own, and ``counterexample KIND FILE`` would read FILE as KIND.
+    """
+    parser.add_argument("file", nargs="?", default=None)
+    parser.add_argument("--builtin", default=None, help="catalog name (see: catalog list)")
+    for key in ("n", "k", "d"):
+        parser.add_argument(f"--{key}", type=int, default=None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ualie",
@@ -365,11 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("analyze", parents=[common], help="full verdict for an algebra")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--builtin", default=None, help="catalog name (see: catalog list)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    _add_algebra_input(p)
 
     p = sub.add_parser("seaweed", parents=[common],
                        help="verdict for a seaweed subalgebra of sl_n")
@@ -397,11 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", parents=[common],
                        help="explicit non-additive constructions")
     p.add_argument("kind", choices=["negcrit", "injection"])
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--builtin", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    _add_algebra_input(p)
 
     return parser
 

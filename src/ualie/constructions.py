@@ -17,6 +17,10 @@ one builder, `_matrix_algebra`.  It takes sparse basis matrices in pivot
 form: each is 1 at its first position, its pivot, and 0 at the pivot of
 every earlier one.  The coordinates of a commutator are then read off its
 pivots in basis order, and a commutator outside the span is refused.
+
+Every builder checks the dimension it would build before it builds any list
+of that size: the matrix families against `MATRIX_DIM_CAP`, heisenberg and
+abelian against `liecore.DIM_CAP`, the cap of algebra files.
 """
 
 from __future__ import annotations
@@ -24,8 +28,18 @@ from __future__ import annotations
 import heapq
 
 from .errors import BadCharacteristic, BadParams, InvalidStructure, UnknownCatalogName
-from .liecore import StructureConstantAlgebra
+from .liecore import DIM_CAP, StructureConstantAlgebra
 from .scalars import require_same_field
+
+# a matrix family costs about dim^2 to build: gl(64), of dimension 4096,
+# takes 1.4-2 s and 200 MB (2-vCPU VM, Python 3.11), gl(100) 11 s and 720 MB
+MATRIX_DIM_CAP = 4096
+
+
+def _require_dim(label, dim, cap):
+    if dim > cap:
+        raise BadParams(f"{label} would have dimension {dim}, past the cap {cap}")
+
 
 # ---------------------------------------------------------------------------
 # compositions and root sets
@@ -75,6 +89,9 @@ class SeaweedSpec:
         self.n = n
         self.top = validate_composition(n, top)
         self.bottom = validate_composition(n, bottom)
+        # a block of size p holds p(p-1)/2 roots; n - 1 diagonal elements
+        dim = sum(p * (p - 1) // 2 for p in self.top + self.bottom) + n - 1
+        _require_dim(self.label(), dim, MATRIX_DIM_CAP)
 
     def roots(self) -> frozenset:
         return included_roots(self.n, self.top, self.bottom)
@@ -180,24 +197,28 @@ def _build_gl_like(name, field, n, keep):
 def build_gl(field, n):
     if n < 1:
         raise BadParams("gl needs n >= 1")
+    _require_dim(f"gl({n})", n * n, MATRIX_DIM_CAP)
     return _build_gl_like(f"gl({n})", field, n, lambda i, j: True)
 
 
 def build_t(field, n):
     if n < 1:
         raise BadParams("t needs n >= 1")
+    _require_dim(f"t({n})", n * (n + 1) // 2, MATRIX_DIM_CAP)
     return _build_gl_like(f"t({n})", field, n, lambda i, j: i <= j)
 
 
 def build_n(field, n):
     if n < 1:
         raise BadParams("n needs n >= 1")
+    _require_dim(f"n({n})", n * (n - 1) // 2, MATRIX_DIM_CAP)
     return _build_gl_like(f"n({n})", field, n, lambda i, j: i < j)
 
 
 def build_sl(field, n):
     if n < 2:
         raise BadParams("sl needs n >= 2")
+    _require_dim(f"sl({n})", n * n - 1, MATRIX_DIM_CAP)
     if n == 2:
         one = field.one
         mats = [{(0, 1): one}, {(0, 0): one, (1, 1): field.neg(one)}, {(1, 0): one}]
@@ -214,6 +235,7 @@ def build_heisenberg(field, k):
     if k < 1:
         raise BadParams("heisenberg needs k >= 1")
     dim = 2 * k + 1
+    _require_dim(f"heisenberg({k})", dim, DIM_CAP)
     names = [f"x{i + 1}" for i in range(k)] + [f"y{i + 1}" for i in range(k)] + ["z"]
     brackets = {(i, k + i): {2 * k: field.one} for i in range(k)}
     return StructureConstantAlgebra(f"heisenberg({k})", field, dim, names, brackets)
@@ -222,6 +244,7 @@ def build_heisenberg(field, k):
 def build_abelian(field, d):
     if d < 0:
         raise BadParams("abelian needs d >= 0")
+    _require_dim(f"abelian({d})", d, DIM_CAP)
     return StructureConstantAlgebra(f"abelian({d})", field, d, None, {})
 
 

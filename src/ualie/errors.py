@@ -45,10 +45,6 @@ class OrderMismatch(UalieError):
     """Finite rings of different order cannot be compared elementwise."""
 
 
-class TooLarge(UalieError):
-    """Finite ring exceeds the brute-force enumeration cap."""
-
-
 class HypothesesNotMet(UalieError):
     """A constructive criterion was invoked outside its hypotheses."""
 

@@ -27,7 +27,6 @@ from .errors import (
     HypothesesNotMet,
     InvalidStructure,
     OrderMismatch,
-    TooLarge,
 )
 
 ENUM_CAP = 32
@@ -437,7 +436,7 @@ def _additivity_witness(r: FiniteLieRing, s: FiniteLieRing, alpha):
 def require_enumerable(order: int) -> None:
     """Refuse a ring whose order is past the enumeration cap."""
     if order > ENUM_CAP:
-        raise TooLarge(f"enumeration capped at order {ENUM_CAP}")
+        raise CapExceeded(f"enumeration capped at order {ENUM_CAP}")
 
 
 def commutator_bijections(r: FiniteLieRing, s: FiniteLieRing | None = None,
@@ -618,20 +617,7 @@ def _finite_swap_obligations(r: FiniteLieRing, derived, u, v):
 # multiplicative semigroup automorphisms of F_q
 
 
-class SemigroupAutReport:
-    def __init__(self, q: int, p: int, n: int, brute_count: int, phi_q_minus_1: int,
-                 field_aut_count: int, additive_count: int, nonadditive: dict | None):
-        self.q = q
-        self.p = p
-        self.n = n
-        self.brute_count = brute_count
-        self.phi_q_minus_1 = phi_q_minus_1
-        self.field_aut_count = field_aut_count
-        self.additive_count = additive_count
-        self.nonadditive = nonadditive  # {"k":..., "pair":[a,b], "lhs":..., "rhs":...}
-
-
-def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:
+def semigroup_aut_report(p: int, n: int) -> dict:
     """Count multiplication-preserving self-bijections of F_q fixing 0 and 1.
 
     Such a map restricts to an automorphism of the cyclic unit group, so it
@@ -640,7 +626,8 @@ def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:
     multiplicative order.  The count must come out as Euler's phi(q-1),
     which is computed independently by a gcd scan.  Additivity of each
     surviving power map x -> x^k is tested exhaustively; for q > 4 the
-    smallest non-additive exponent is returned with a violating pair.
+    smallest non-additive exponent is returned with a violating pair.  The
+    result is the report that ``ualie finite field`` prints.
     """
     from .scalars import ExtensionField, PrimeField
 
@@ -651,43 +638,19 @@ def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:
     F = PrimeField(p) if n == 1 else ExtensionField(p, n)
     q = F.order
     elements = list(F.elements())
-    units = [e for e in elements if not F.is_zero(e)]
 
-    gen = None
-    for e in units:
-        power = e
-        order = 1
-        while not _is_one(F, power):
-            power = F.mul(power, e)
-            order += 1
-            if order > q - 1:
-                break
-        if order == q - 1:
-            gen = e
-            break
-    if gen is None:  # q = 1 cannot happen; unit group of a field is cyclic
-        raise HypothesesNotMet("no multiplicative generator found")
+    def order(e):  # multiplicative order of a unit
+        power, k = e, 1
+        while not F.is_zero(F.sub(power, F.one)):
+            power, k = F.mul(power, e), k + 1
+        return k
 
+    gen = next(e for e in elements if not F.is_zero(e) and order(e) == q - 1)
     powers = [F.one]
     for _ in range(q - 2):
         powers.append(F.mul(powers[-1], gen))
-
-    brute_exponents = []
-    for k in range(1, q):
-        img = powers[(k % (q - 1))] if q > 2 else F.one
-        seen = set()
-        power = F.one
-        full_order = True
-        for step in range(q - 1):
-            if power in seen:
-                full_order = False
-                break
-            seen.add(power)
-            power = F.mul(power, img)
-        if full_order and len(seen) == q - 1:
-            brute_exponents.append(k)
-    brute_count = len(brute_exponents)
-    phi = sum(1 for k in range(1, q) if math.gcd(k, q - 1) == 1) if q > 1 else 0
+    brute_exponents = [k for k in range(1, q) if order(powers[k % (q - 1)]) == q - 1]
+    phi = sum(1 for k in range(1, q) if math.gcd(k, q - 1) == 1)
 
     def power_map(k):
         table = {F.zero: F.zero}
@@ -706,7 +669,7 @@ def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:
 
     additive_count = 0
     nonadditive = None
-    for k in sorted(brute_exponents):
+    for k in brute_exponents:
         table = power_map(k)
         viol = additivity_violation(table)
         if viol is None:
@@ -719,8 +682,6 @@ def semigroup_aut_report(p: int, n: int) -> SemigroupAutReport:
                 "alpha(a+b)": F.format(lhs),
                 "alpha(a)+alpha(b)": F.format(rhs),
             }
-    return SemigroupAutReport(q, p, n, brute_count, phi, n, additive_count, nonadditive)
-
-
-def _is_one(F, x) -> bool:
-    return F.is_zero(F.sub(x, F.one))
+    return {"q": q, "p": p, "n": n, "brute_count": len(brute_exponents),
+            "phi_q_minus_1": phi, "field_aut_count": n, "additive_count": additive_count,
+            "nonadditive": nonadditive}

@@ -13,6 +13,8 @@ from .errors import DimensionMismatch, InvalidStructure
 from .linalg import Subspace, kernel_dim_fast, span_and_kernel
 from .scalars import field_from_json
 
+DIM_CAP = 1 << 16  # lists of length dim are built per basis index
+
 
 class ValidationReport:
     def __init__(self, ok: bool, jacobi_failures: list):
@@ -244,8 +246,8 @@ class StructureConstantAlgebra:
             dim = obj["dim"]
             if type(dim) is not int:
                 raise TypeError(f"dim must be a JSON integer, got {dim!r}")
-            if not 0 <= dim <= 1 << 16:  # lists of length dim are built per basis index
-                raise ValueError(f"dim must lie in [0, {1 << 16}], got {dim}")
+            if not 0 <= dim <= DIM_CAP:
+                raise ValueError(f"dim must lie in [0, {DIM_CAP}], got {dim}")
             name = obj.get("name", "algebra")
             if not isinstance(name, str):
                 raise TypeError(f"name must be a JSON string, got {name!r}")

@@ -119,8 +119,8 @@ def test_criterion_03_seaweed_predicate_cross_validation(capfd):
             spec = SeaweedSpec(4, top, bottom)
             amp = an.check_ample(spec.roots(), 4)
             g = build_seaweed(spec, QQ)
-            p_ample = amp.ample
-            p_connected = amp.components == 1
+            p_ample = amp["ample"]
+            p_connected = amp["components"] == 1
             p_centerless = g.center().dim == 0
             cc = an.c_condition(g)
             p_holds = cc.outcome == an.OUTCOME_HOLDS
@@ -232,9 +232,10 @@ def test_criterion_07_multiplicative_maps_field_counts(capfd):
     for q, (p, n) in sorted(cases.items()):
         rep = fin.semigroup_aut_report(p, n)
         phi = sum(1 for k in range(1, q) if math.gcd(k, q - 1) == 1)
-        if rep.brute_count != phi or rep.phi_q_minus_1 != phi:
-            failures.append(f"q={q}: counts {rep.brute_count}/{rep.phi_q_minus_1} vs phi {phi}")
-        if (rep.nonadditive is not None) != (q > 4):
+        if rep["brute_count"] != phi or rep["phi_q_minus_1"] != phi:
+            failures.append(
+                f"q={q}: counts {rep['brute_count']}/{rep['phi_q_minus_1']} vs phi {phi}")
+        if (rep["nonadditive"] is not None) != (q > 4):
             failures.append(f"q={q}: nonadditive presence wrong")
     announce(capfd, 7, not failures, time.monotonic() - t0, 10.0, str(failures))
 

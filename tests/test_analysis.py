@@ -188,12 +188,12 @@ def test_negative_criterion_gl2_case2():
     g = build_catalog("gl", QQ, n=2)
     res = an.negative_criterion(g)
     assert res.case == 2
-    d = res.description.to_json_dict(QQ)
+    d = res.to_json_dict(QQ)
     assert d["kind"] == "swap_pair"
     assert d["swap"]["u"] == ["2", "0", "0", "0"]
     assert d["swap"]["v"] == ["3", "0", "0", "1"]
     assert all(ob["ok"] for ob in d["obligations"])
-    assert res.description.verified
+    assert d["verified"] is True
 
 
 def test_negative_criterion_case1_commutative():
@@ -201,7 +201,7 @@ def test_negative_criterion_case1_commutative():
     g = build_catalog("abelian", F5, d=1)
     res = an.negative_criterion(g)
     assert res.case == 1
-    d = res.description.to_json_dict(F5)
+    d = res.to_json_dict(F5)
     assert d["swap"] == {"u": ["1"], "v": ["2"]}
     assert d["nonadditivity"] == {
         "c": ["3"],
@@ -215,11 +215,11 @@ def test_negative_criterion_case3_heisenberg():
         g = build_catalog("heisenberg", F, k=1)
         res = an.negative_criterion(g)
         assert res.case == 3
-        d = res.description.to_json_dict(F)
+        d = res.to_json_dict(F)
         # swap a <-> a+z with z central and a outside the derived subalgebra
         assert d["swap"]["u"] == ["1", "0", "0"]
         assert d["swap"]["v"] == ["1", "0", "1"]
-        assert res.description.verified
+        assert d["verified"] is True
 
 
 def test_negative_criterion_hypothesis_gates():
@@ -237,8 +237,7 @@ def test_negative_criterion_swap_really_preserves_brackets():
     g = build_catalog("gl", QQ, n=3)
     res = an.negative_criterion(g)
     assert res is not None
-    d = res.description
-    u, v = d.swap
+    u, v = res.swap
     F = g.field
     rng = random.Random(808)
     for _ in range(40):
@@ -252,18 +251,19 @@ def test_negative_criterion_swap_really_preserves_brackets():
 
 def test_check_ample_connected_spanning():
     res = an.check_ample(frozenset({(1, 2), (2, 1), (1, 3)}), 3)
-    assert (res.ample, res.span_dim, res.components, res.root_count) == (True, 2, 1, 3)
+    assert res == {"root_count": 3, "span_dim": 2, "components": 1, "ample": True}
+    assert list(res) == ["root_count", "span_dim", "components", "ample"]
 
 
 def test_check_ample_disconnected():
     res = an.check_ample(frozenset({(1, 2), (2, 1)}), 3)
-    assert not res.ample
-    assert res.components == 2 and res.span_dim == 1
+    assert not res["ample"]
+    assert res["components"] == 2 and res["span_dim"] == 1
 
 
 def test_check_ample_empty():
     res = an.check_ample(frozenset(), 4)
-    assert not res.ample and res.components == 4 and res.span_dim == 0
+    assert not res["ample"] and res["components"] == 4 and res["span_dim"] == 0
 
 
 def test_ample_consistency_on_random_root_sets():
@@ -278,8 +278,8 @@ def test_ample_consistency_on_random_root_sets():
             if i != j:
                 roots.add((i, j))
         res = an.check_ample(frozenset(roots), n)
-        assert res.span_dim == n - res.components
-        assert res.ample == (res.components == 1)
+        assert res["span_dim"] == n - res["components"]
+        assert res["ample"] == (res["components"] == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,7 @@ def test_seaweed_recipe_pair_holds_canonical_rationals(monkeypatch):
     ample = []
     for top, bottom in itertools.product(comps, repeat=2):
         spec = SeaweedSpec(4, top, bottom)
-        if an.check_ample(spec.roots(), 4).ample:
+        if an.check_ample(spec.roots(), 4)["ample"]:
             ample.append(spec.label())
             assert an.seaweed_verdict(spec, QQ).verdict == an.VERDICT_UA
     assert "seaweed(n=4,top=2|2,bottom=4)" in ample

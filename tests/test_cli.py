@@ -84,6 +84,16 @@ def test_analyze_usage_errors(capsys):
     assert run_cli(capsys, "analyze", "--builtin", "sl")[0] == 2  # missing --n
 
 
+def test_counterexample_refuses_a_broken_file_naming_the_triple(capsys, broken_file):
+    """``counterexample`` reads its algebra as ``analyze`` does, and names
+    the failing basis triple in the same words."""
+    expected = (1, "", "input error: Jacobi identity fails at basis triple (0,1,2)\n")
+    for argv in (("counterexample", "negcrit", broken_file),
+                 ("counterexample", "injection", broken_file),
+                 ("analyze", broken_file)):
+        assert run_cli(capsys, *argv) == expected, argv
+
+
 def test_validate_good_and_broken(capsys, gl2_file, broken_file):
     code, out, _ = run_cli(capsys, "validate", gl2_file)
     assert code == 0 and json.loads(out)["ok"] is True
@@ -313,6 +323,30 @@ def test_seaweed_bad_composition(capsys):
     code, _, err = run_cli(capsys, "seaweed", "--n", "4", "--top", "3,3", "--bottom", "4")
     assert code == 1  # well-formed flags, ill-formed mathematical input
     assert "composition" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("seaweed", "--n", "20000", "--top", "20000", "--bottom", "20000"), 1,
+     "input error: seaweed(n=20000,top=20000,bottom=20000) would have dimension 399999999, "
+     "past the cap 4096"),
+    (("analyze", "--builtin", "heisenberg", "--k", "50000000"), 2,
+     "usage error: heisenberg(50000000) would have dimension 100000001, past the cap 65536"),
+    (("analyze", "--builtin", "sl", "--n", "3000"), 2,
+     "usage error: sl(3000) would have dimension 8999999, past the cap 4096"),
+    (("analyze", "--builtin", "gl", "--n", "100000"), 2,
+     "usage error: gl(100000) would have dimension 10000000000, past the cap 4096"),
+    (("analyze", "--builtin", "abelian", "--d", "100000000"), 2,
+     "usage error: abelian(100000000) would have dimension 100000000, past the cap 65536"),
+], ids=["seaweed-n-20000", "heisenberg-k-5e7", "sl-n-3000", "gl-n-1e5", "abelian-d-1e8"])
+def test_oversized_builtins_and_seaweeds_are_refused_before_they_are_built(
+        capsys, argv, code, message):
+    """Each of these once built lists of the requested size and ended in a
+    `MemoryError` traceback under a 600 MB address-space limit.  Each now
+    exits at once with the code its command gives any bad parameter (1 for
+    a seaweed, 2 for a builtin) and one line naming the cap."""
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv) == (code, "", message + "\n")
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("argv, message", [

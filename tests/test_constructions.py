@@ -55,6 +55,60 @@ def test_catalog_errors():
         build_catalog("gl", QQ, n=0)
 
 
+def _comps(n):
+    return [c for r in range(1, n + 1) for c in itertools.product(range(1, n + 1), repeat=r)
+            if sum(c) == n]
+
+
+def test_each_builder_checks_the_exact_dimension_it_would_build(monkeypatch):
+    """With the cap set to the dimension built, each build passes; one below
+    it, the build is refused with the cap named.  So the dimension checked
+    before the build is the one built, for every matrix family (n <= 6),
+    every seaweed with n <= 4, heisenberg and abelian."""
+    builds = [(f, {"n": n}) for f in ("gl", "t", "n") for n in range(1, 7)]
+    builds += [("sl", {"n": n}) for n in range(2, 7)]
+    builds += [("heisenberg", {"k": k}) for k in (1, 2, 5)]
+    builds += [("abelian", {"d": d}) for d in (0, 1, 5)]
+    specs = [(n, top, bottom) for n in range(1, 5) for top in _comps(n) for bottom in _comps(n)]
+    for name, params in builds:
+        cap = "MATRIX_DIM_CAP" if name in ("gl", "t", "n", "sl") else "DIM_CAP"
+        dim = build_catalog(name, QQ, **params).dim
+        monkeypatch.setattr(constructions, cap, dim)
+        assert build_catalog(name, QQ, **params).dim == dim
+        if dim:
+            monkeypatch.setattr(constructions, cap, dim - 1)
+            with pytest.raises(BadParams, match=rf"dimension {dim}, past the cap {dim - 1}$"):
+                build_catalog(name, QQ, **params)
+        monkeypatch.undo()
+    for n, top, bottom in specs:
+        dim = build_seaweed(SeaweedSpec(n, top, bottom), QQ).dim
+        monkeypatch.setattr(constructions, "MATRIX_DIM_CAP", dim)
+        SeaweedSpec(n, top, bottom)
+        if dim:
+            monkeypatch.setattr(constructions, "MATRIX_DIM_CAP", dim - 1)
+            with pytest.raises(BadParams, match=rf"dimension {dim}, past the cap {dim - 1}$"):
+                SeaweedSpec(n, top, bottom)
+        monkeypatch.undo()
+    assert len(specs) == 1 + 4 + 16 + 64
+
+
+def test_the_size_caps_sit_where_the_build_cost_puts_them():
+    """gl(64) (dimension 4096) and abelian(65536) may be built, the next
+    sizes up are refused before any list is built."""
+    assert constructions.MATRIX_DIM_CAP == 4096
+    assert build_catalog("abelian", QQ, d=65536).dim == 65536
+    assert build_catalog("heisenberg", QQ, k=32767).dim == 65535
+    assert SeaweedSpec(64, (64,), (64,)).n == 64  # sl(64): 4095
+    for name, params, dim in (("gl", {"n": 65}, 4225), ("sl", {"n": 65}, 4224),
+                              ("t", {"n": 91}, 4186), ("n", {"n": 92}, 4186),
+                              ("abelian", {"d": 65537}, 65537),
+                              ("heisenberg", {"k": 32768}, 65537)):
+        with pytest.raises(BadParams, match=rf"dimension {dim}, past the cap"):
+            build_catalog(name, QQ, **params)
+    with pytest.raises(BadParams, match=r"dimension 4224, past the cap 4096$"):
+        SeaweedSpec(65, (65,), (65,))
+
+
 def test_sl2_is_gl2_derived_subalgebra():
     gl2 = build_catalog("gl", QQ, n=2)
     assert gl2.derived_subalgebra().dim == build_catalog("sl", QQ, n=2).dim

@@ -75,6 +75,13 @@ def test_from_algebra_refuses_rationals_and_big_orders():
         fin.from_algebra(build_catalog("gl", PrimeField(7), n=3))  # 7^9 elements
 
 
+def test_the_enumeration_cap_raises_cap_exceeded_like_every_other_cap():
+    big = fin.cyclic_ring(33)
+    for search in (fin.is_wua, fin.commutator_bijections, lambda r: fin.ua_against(r, r)):
+        with pytest.raises(CapExceeded, match=r"^enumeration capped at order 32$"):
+            search(big)
+
+
 def test_validation_catches_broken_tables():
     r = fin.cyclic_ring(4)
     bad_add = [row[:] for row in r.add]
@@ -551,8 +558,8 @@ def test_the_swap_covers_a_two_element_center_meeting_derived_trivially():
         seen.append((g.name, p))
         res = an.negative_criterion(g)
         assert res is not None and res.case == 2, g.name
-        u, v = res.description.swap
-        c = res.description.nonadditivity["c"]
+        u, v = res.swap
+        c = res.nonadditivity["c"]
         r = fin.from_algebra(g)
         iu, iv, ic = (fin.vector_index(x, p) for x in (u, v, c))
         table = list(range(r.order))
@@ -582,10 +589,10 @@ def test_negative_bijection_hypothesis_failures_are_named():
 
 def test_semigroup_report_q5():
     rep = fin.semigroup_aut_report(5, 1)
-    assert (rep.q, rep.brute_count, rep.phi_q_minus_1) == (5, 2, 2)
+    assert (rep["q"], rep["brute_count"], rep["phi_q_minus_1"]) == (5, 2, 2)
     # only the identity power map is additive over a prime field
-    assert rep.field_aut_count == 1 and rep.additive_count == 1
-    assert rep.nonadditive == {
+    assert rep["field_aut_count"] == 1 and rep["additive_count"] == 1
+    assert rep["nonadditive"] == {
         "k": 3,
         "pair": ["1", "1"],
         "alpha(a+b)": "3",
@@ -595,8 +602,8 @@ def test_semigroup_report_q5():
 
 def test_semigroup_report_q4_all_additive():
     rep = fin.semigroup_aut_report(2, 2)
-    assert (rep.brute_count, rep.phi_q_minus_1, rep.additive_count) == (2, 2, 2)
-    assert rep.nonadditive is None
+    assert (rep["brute_count"], rep["phi_q_minus_1"], rep["additive_count"]) == (2, 2, 2)
+    assert rep["nonadditive"] is None
 
 
 def test_semigroup_report_counts_match_euler_phi():
@@ -605,8 +612,8 @@ def test_semigroup_report_counts_match_euler_phi():
 
     for p, n in [(2, 1), (3, 1), (7, 1), (2, 3), (3, 2)]:
         rep = fin.semigroup_aut_report(p, n)
-        assert rep.brute_count == rep.phi_q_minus_1 == phi(p**n - 1)
-        assert (rep.nonadditive is not None) == (p**n > 4)
+        assert rep["brute_count"] == rep["phi_q_minus_1"] == phi(p**n - 1)
+        assert (rep["nonadditive"] is not None) == (p**n > 4)
 
 
 def test_semigroup_cap():
