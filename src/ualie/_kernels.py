@@ -1,5 +1,6 @@
 """Exact elimination kernels, in pure Python: the package's one sparse row
-reducer and the integer routines of the modular certificate over Q.
+reducer, and the integer routines of the modular certificate over Q and of
+its independent re-check.
 
 `_rref` is the only row reducer.  It works over any field, on sparse rows
 ``{column: scalar}``, in one pass per row: the row is reduced against the
@@ -18,15 +19,16 @@ nullities; the lifted vectors are exact kernel vectors, which a caller may
 keep.
 
 Two routes over Q, kept apart on purpose: the certificate finds witnesses,
-while `int_rank` is Bareiss alone, so a witness found through the modular
-route is re-verified by an independent one.  When a lift or the exact
-check fails, the caller falls back to an exact elimination (Bareiss for a
-nullity, `_rref` over Q for a span and kernel).
+while `int_rank` is fraction-free elimination over Z alone, so a witness
+found through the modular route is re-verified by an independent one.
+When a lift or the exact check fails, the caller falls back to an exact
+elimination (`int_rank` for a nullity, `_rref` over Q for a span and
+kernel).
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .scalars import PrimeField
 
@@ -43,40 +45,41 @@ WITNESS_FIELD = PrimeField(WITNESS_PRIME)
 _LIFT_BOUND = isqrt(WITNESS_PRIME // 2)
 
 
-def int_rank(entries, rows: int, cols: int) -> int:
-    """Exact rank over Z/Q of an integer matrix by fraction-free Bareiss elimination.
-
-    There is deliberately no modular shortcut here: witness re-verification
-    relies on this routine sharing nothing with `certified_kernel`, which
-    found the witness.  Python's big integers keep every intermediate
-    exact, and Bareiss keeps them minor-sized (the interior divisions are
-    exact by construction).
+def int_rank(rows, m: int, n: int) -> int:
+    """Exact rank over Q of m sparse integer rows ``{column: int}`` with n
+    columns, by fraction-free forward elimination, sparsest rows first (less
+    fill-in) and up to n pivots.  A row v is reduced at its leading column c
+    against the stored row p there, as a*v - b*p with a/b = p[c]/v[c] in
+    lowest terms, then divided by the gcd of its entries; it is stored when
+    c is new.  No modulus, and no step shared with `_rref` or
+    `certified_kernel`: witness re-verification relies on that.  Rows are
+    read, never written.
     """
-    m = [list(entries[r * cols : (r + 1) * cols]) for r in range(rows)]
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        piv = -1
-        for r in range(rank, rows):
-            if m[r][c]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pv = prow[c]
-        for r in range(rank + 1, rows):
-            row = m[r]
-            f = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (pv * row[j] - f * prow[j]) // prev
-            row[c] = 0
-        prev = pv
-        rank += 1
-        if rank == rows:
+    # m = len(rows) stays: the benchmark's size hook reads positions 2 and 3
+    pivots = {}
+    for row in sorted(rows, key=len):
+        if len(pivots) == n:
             break
-    return rank
+        v = {c: x for c, x in row.items() if x}
+        while v:
+            c = min(v)
+            p = pivots.setdefault(c, v)
+            if p is v:
+                break
+            g = gcd(v[c], p[c])
+            a, b = p[c] // g, v[c] // g
+            if a != 1:
+                v = {j: a * x for j, x in v.items()}
+            for j, y in p.items():
+                z = v.get(j, 0) - b * y
+                if z:
+                    v[j] = z
+                else:
+                    del v[j]
+            g = gcd(*v.values())
+            if g > 1:
+                v = {j: x // g for j, x in v.items()}
+    return len(pivots)
 
 
 def _add_row(field, basis: dict, cols: set, row: dict):

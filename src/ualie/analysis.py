@@ -116,12 +116,13 @@ class CConditionResult:
 def _verify_witness_exactly(g, a, b) -> bool:
     """Independent re-verification over Q that C(a) and C(b) meet only in zero.
 
-    The integerized stack [ad a; ad b] must have rank dim by fraction-free
-    Bareiss elimination (`_kernels.int_rank`), which shares no step with the
+    The integerized sparse stack [ad a; ad b], its rows built straight from
+    the brackets (`ad_matrix`), must have rank dim by fraction-free
+    elimination over Z (`_kernels.int_rank`), which shares no step with the
     modular certificate that found the pair.
     """
-    rows = g.ad_matrix(a) + g.ad_matrix(b)
-    return _kernels.int_rank(integerized_entries(rows), len(rows), g.dim) == g.dim
+    rows = integerized_entries(g.ad_matrix(a) + g.ad_matrix(b))
+    return _kernels.int_rank(rows, len(rows), g.dim) == g.dim
 
 
 def c_condition(
@@ -139,7 +140,7 @@ def c_condition(
     even-indexed sum against the odd-indexed sum; finally ``trials`` random
     pairs with coordinates uniform in [-bound, bound].  Every candidate is
     decided by the nullity `kernel_dim_fast` reads off the modular
-    certificate (Bareiss, when the certificate fails).  The second stage
+    certificate (an exact integer rank, when it fails).  The second stage
     keeps every kernel vector the certificate proves: each lies in C(sum)
     exactly, so a later e_i that one of them also commutes with
     (ad(e_i) v = 0 in exact arithmetic) is rejected without elimination.
@@ -431,18 +432,12 @@ def check_ample(roots, n: int) -> dict:
     """Do the root differences e_i - e_j span the full traceless space?
 
     Equivalently: is the graph on {1..n} with one edge per included root
-    connected?  Both computations run and must agree.  Returns the
-    ``seaweed`` block of a report: ``root_count``, ``span_dim``,
-    ``components`` and ``ample``.
+    connected?  Both computations (`_kernels.int_rank` and union-find) run
+    and must agree.  Returns the ``seaweed`` block of a report:
+    ``root_count``, ``span_dim``, ``components`` and ``ample``.
     """
     roots = sorted(set(roots))
-    entries = []
-    for (i, j) in roots:
-        row = [0] * n
-        row[i - 1] = 1
-        row[j - 1] = -1
-        entries.extend(row)
-    span_dim = _kernels.int_rank(entries, len(roots), n) if roots else 0
+    span_dim = _kernels.int_rank([{i - 1: 1, j - 1: -1} for (i, j) in roots], len(roots), n)
     parent = list(range(n + 1))
 
     def find(x):

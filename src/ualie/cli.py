@@ -74,24 +74,27 @@ def _read_json(path: str, hint: str = ""):
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_algebra(path: str) -> StructureConstantAlgebra:
+def _load_algebra(args) -> StructureConstantAlgebra:
+    """The algebra file ``args.file``; it declares its field, so ``--field`` is refused."""
+    if args.field is not None:
+        raise _Usage(f"--field applies to builtins and seaweeds; {args.file} declares its field")
     try:
-        return StructureConstantAlgebra.from_json_dict(_read_json(path))
+        return StructureConstantAlgebra.from_json_dict(_read_json(args.file))
     except UalieError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise _InputError(f"{args.file}: {exc}") from exc
 
 
 def _resolve_algebra(args) -> StructureConstantAlgebra:
     """The --builtin or file algebra of ``analyze`` and ``counterexample``,
     refused when it fails the Jacobi identity."""
-    field = parse_field_flag(args.field)
     if args.builtin:
+        field = parse_field_flag(args.field or "Q")
         try:
             g = constructions.build_catalog(args.builtin, field, n=args.n, k=args.k, d=args.d)
         except UalieError as exc:
             raise _Usage(str(exc)) from exc
     elif args.file:
-        g = _load_algebra(args.file)
+        g = _load_algebra(args)
     else:
         raise _Usage("provide an input file or --builtin NAME")
     failure = g.validate().first_failure()
@@ -139,7 +142,7 @@ def _load_ring(source: str):
 
 
 def _cmd_validate(args) -> int:
-    g = _load_algebra(args.file)
+    g = _load_algebra(args)
     rep = g.validate()
     payload = {
         "file": args.file,
@@ -183,7 +186,7 @@ def _parse_composition(text: str):
 
 
 def _cmd_seaweed(args) -> int:
-    field = parse_field_flag(args.field)
+    field = parse_field_flag(args.field or "Q")
     top = _parse_composition(args.top)
     bottom = _parse_composition(args.bottom)
     spec = constructions.SeaweedSpec(args.n, top, bottom)
@@ -306,8 +309,8 @@ def _add_run_flags(parser, suppress: bool):
                      help="JSON output (default)")
     out.add_argument("--text", dest="text", action="store_true", default=sup,
                      help="flat key: value lines instead of JSON")
-    parser.add_argument("--field", default=dflt("Q"),
-                        help="Q | Fp:<p> | Fq:<p>,<n> (for builtins)")
+    parser.add_argument("--field", default=dflt(None),
+                        help="Q | Fp:<p> | Fq:<p>,<n>, for builtins and seaweeds (default Q)")
 
 
 def _add_algebra_input(parser):

@@ -85,23 +85,23 @@ class StructureConstantAlgebra:
     # -- adjoint operators and centralizers --------------------------------
 
     def ad_matrix(self, x) -> list:
-        """Dense rows of the matrix of y -> [x, y] in the basis: entry (k, j)
-        is the coefficient of e_k in [x, e_j].  Built straight from the
-        brackets, for the independent re-verification of a witness."""
+        """The nonzero sparse rows k, ascending, of ad(x): ``{j: coefficient of
+        e_k in [x, e_j]}``.  Built straight from the brackets, not from
+        `basis_ads`, for the independent re-verification of a witness."""
         if len(x) != self.dim:
             raise DimensionMismatch("element has wrong length")
         F = self.field
-        n = self.dim
-        rows = [[F.zero] * n for _ in range(n)]
+        rows = {}
         for (i, j), row in self.brackets.items():
-            xi, xj = x[i], x[j]
-            if not F.is_zero(xi):
+            # [x, e_j] gains x_i [e_i, e_j] and [x, e_i] gains -x_j [e_i, e_j]
+            for col, xc in ((j, x[i]), (i, F.neg(x[j]))):
+                if F.is_zero(xc):
+                    continue
                 for k, s in row.items():
-                    rows[k][j] = F.add(rows[k][j], F.mul(xi, s))
-            if not F.is_zero(xj):
-                for k, s in row.items():
-                    rows[k][i] = F.sub(rows[k][i], F.mul(xj, s))
-        return rows
+                    acc = rows.setdefault(k, {})
+                    acc[col] = F.add(acc.get(col, F.zero), F.mul(xc, s))
+        out = ({j: c for j, c in rows[k].items() if not F.is_zero(c)} for k in sorted(rows))
+        return [row for row in out if row]
 
     def basis_ads(self):
         """Sparse rows of each ad(e_i) from the structure constants, computed

@@ -12,8 +12,9 @@ the C-condition, the brackets behind the derived subalgebra) are integerized
 and reduced over the witness prime field, and certified by `_kernels`.
 `span_and_kernel` reads the canonical RREF straight off the pivots and the
 whole lifted kernel of `_kernels.certified_kernel`, and `kernel_dim_fast`
-reads the nullity off the same certificate, with Bareiss as its fallback;
-the caller may keep the kernel vectors it proves.
+reads the nullity off the same certificate, with the integer rank
+`_kernels.int_rank` as its fallback; the caller may keep the kernel vectors
+it proves.
 Everything else -- the fallback when the certificate fails, every other
 field, and the spans and intersections of subspaces -- runs `_rref` over
 the field itself.
@@ -105,30 +106,21 @@ class Subspace:
         )
 
 
-def integerized_entries(rows):
-    """Flat row-major integer entries row-equivalent to dense rows over Q.
+def integerized_entries(rows) -> list:
+    """Sparse integer rows row-equivalent to sparse rows over Q.
 
     Each row is scaled by the lcm of its denominators; row scaling keeps the
     row space and the kernel, so ranks and nullities agree with the original.
-    Rows of ``int`` scalars are already integral and are copied as they are.
+    A row of ``int`` scalars is passed through as it is (a copy per
+    candidate pair of the C-condition fragments memory).
     """
-    if all(type(x) is int for row in rows for x in row):
-        return [x for row in rows for x in row]
     out = []
     for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        out.extend(x.numerator * (mult // x.denominator) for x in row)
+        if not all(type(x) is int for x in row.values()):
+            mult = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
+        out.append(row)
     return out
-
-
-def _integer_row(row: dict) -> dict:
-    """A sparse rational row scaled by the lcm of its denominators; a row of
-    ``int`` scalars is returned as it is (a copy per candidate pair of the
-    C-condition fragments memory)."""
-    if all(type(x) is int for x in row.values()):
-        return row
-    mult = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
 
 
 def span_and_kernel(field, n: int, rows: list):
@@ -146,7 +138,7 @@ def span_and_kernel(field, n: int, rows: list):
     subspaces.
     """
     if field.kind == "Q":
-        cert = _kernels.certified_kernel([_integer_row(row) for row in rows], n)
+        cert = _kernels.certified_kernel(integerized_entries(rows), n)
         if cert is not None:
             pivots, ker = cert
             span = {pc: {pc: field.one} for pc in pivots}
@@ -170,15 +162,15 @@ def kernel_dim_fast(field, n: int, rows: list, proved=None) -> int:
 
     Over Q: the size of the lifted kernel of `_kernels.certified_kernel`
     on the integerized rows, whose exact vectors are appended to ``proved``
-    when that list is given, or n minus the Bareiss rank (`int_rank`) when
-    the certificate fails.  Elsewhere: n minus the rank from one `_rref`.
+    when that list is given, or n minus the integer rank `_kernels.int_rank`
+    of the same rows when the certificate fails.  Elsewhere: n minus the
+    rank from one `_rref`.
     """
     if field.kind == "Q":
-        int_rows = [_integer_row(row) for row in rows]
+        int_rows = integerized_entries(rows)
         cert = _kernels.certified_kernel(int_rows, n)
         if cert is None:
-            entries = [row.get(c, 0) for row in int_rows for c in range(n)]
-            return n - _kernels.int_rank(entries, len(int_rows), n)
+            return n - _kernels.int_rank(int_rows, len(int_rows), n)
         if proved is not None:
             proved.extend(cert[1].values())
         return len(cert[1])

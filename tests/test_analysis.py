@@ -8,6 +8,7 @@ frozen oracles from here on.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,20 @@ def test_verify_witness_exactly_accepts_catalog_witnesses():
         g = build_catalog(name, QQ, **kw)
         a, b = an.c_condition(g).witness
         assert an._verify_witness_exactly(g, a, b)
+
+
+def test_verify_witness_exactly_is_fast_on_the_sparse_star_algebra():
+    """[e_0, e_i] = e_i (i = 1..299): the re-verification of the witness
+    works on the nonzero sparse adjoint rows.  A dense elimination of the
+    600 x 300 stack took 1.4-2.2 s on a shared 2-vCPU VM."""
+    n = 300
+    g = StructureConstantAlgebra("star", QQ, n, None, {(0, i): {i: 1} for i in range(1, n)})
+    res = an.c_condition(g)
+    assert res.outcome == an.OUTCOME_HOLDS
+    a, b = res.witness
+    start = time.perf_counter()
+    assert an._verify_witness_exactly(g, a, b)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_c_condition_nontrivial_center_is_certified_failure():

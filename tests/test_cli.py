@@ -107,6 +107,41 @@ def test_validate_good_and_broken(capsys, gl2_file, broken_file):
     assert "Jacobi identity fails at basis triple" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "FILE", "--field", "Fp:3"),
+    ("validate", "FILE", "--field", "Fp:3"),
+    ("counterexample", "negcrit", "FILE", "--field", "Fp:3"),
+    ("--field", "Fp:3", "analyze", "FILE"),
+    ("analyze", "FILE", "--field", "Q"),
+])
+def test_field_flag_with_an_algebra_file_is_a_usage_error(capsys, gl2_file, argv):
+    """A file declares its own field, so a given --field is refused with one
+    line, not silently ignored."""
+    argv = [gl2_file if a == "FILE" else a for a in argv]
+    message = f"--field applies to builtins and seaweeds; {gl2_file} declares its field"
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_builtin_golden_records_hold_with_the_field_left_out_or_given_as_q(capsys):
+    """Builtins and seaweeds read an absent --field as Q: every builtin record
+    of the golden CLI corpus is reproduced, and a command without --field
+    prints the same with --field Q given before or after the subcommand."""
+    lines = (ROOT / "tests" / "golden" / "cli.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines if "--builtin" in line]
+    assert len(records) == 5
+    for rec in records:
+        argv = rec["case"].split()[1:]
+        assert run_cli(capsys, *argv) == (rec["exit"], rec["stdout"], rec["stderr"]), argv
+    for rec in records + [{"case": "ualie seaweed --n 4 --top 2,2 --bottom 4"}]:
+        argv = rec["case"].split()[1:]
+        if "--field" in argv:
+            continue
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--field", "Q") == plain, argv
+        assert run_cli(capsys, "--field", "Q", *argv) == plain, argv
+
+
 def _gl2_with(**changes):
     data = build_catalog("gl", QQ, n=2).to_json_dict()
     data.update(changes)

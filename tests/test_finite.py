@@ -75,6 +75,16 @@ def test_from_algebra_refuses_rationals_and_big_orders():
         fin.from_algebra(build_catalog("gl", PrimeField(7), n=3))  # 7^9 elements
 
 
+def test_from_algebra_refuses_order_2048_before_building_anything():
+    """abelian(11)/F_2 has 2048 elements, past the cap of 1024; building its
+    tables would take seconds and hundreds of MB, the refusal takes none."""
+    g = build_catalog("abelian", PrimeField(2), d=11)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^ring order 2048 exceeds cap 1024$"):
+        fin.from_algebra(g)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_the_enumeration_cap_raises_cap_exceeded_like_every_other_cap():
     big = fin.cyclic_ring(33)
     for search in (fin.is_wua, fin.commutator_bijections, lambda r: fin.ua_against(r, r)):

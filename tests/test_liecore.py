@@ -66,15 +66,35 @@ def test_jacobi_identity_random():
 
 
 def test_ad_matrix_matches_bracket():
+    """Row k of ad(x) holds the coefficients of e_k in the [x, e_j]; the
+    nonzero rows come in ascending k, with no zero entries."""
     rng = random.Random(11)
     g = sl2()
     for _ in range(30):
         x = rand_vec(rng, QQ, 3)
         ad = g.ad_matrix(x)
-        assert len(ad) == 3 and all(len(row) == 3 for row in ad)
-        for j in range(3):
-            column = [ad[k][j] for k in range(3)]
-            assert vectors_equal(QQ, column, g.bracket(x, g.basis_vector(j)))
+        assert all(all(row.values()) for row in ad)  # no zero entries
+        columns = [g.bracket(x, g.basis_vector(j)) for j in range(3)]
+        full = [[columns[j][k] for j in range(3)] for k in range(3)]
+        want = [row for row in full if not vector_is_zero(QQ, row)]
+        assert len(ad) == len(want)
+        for row, dense_row in zip(dense(QQ, ad, 3), want):
+            assert vectors_equal(QQ, row, dense_row)
+
+
+def test_ad_matrix_equals_ad_rows_as_a_matrix():
+    """`ad_matrix` (from the brackets) and `ad_rows` (from `basis_ads`)
+    give the same nonzero rows of ad(x), for random x over Q and F_5."""
+    rng = random.Random(55)
+    F5 = PrimeField(5)
+    algebras = [build_catalog("example_5_7", QQ), build_catalog("sl", QQ, n=3),
+                build_catalog("sl", F5, n=3), build_catalog("t", F5, n=3)]
+    for g in algebras:
+        for _ in range(10):
+            x = rand_vec(rng, g.field, g.dim)
+            got, want = g.ad_matrix(x), g.ad_rows(x)
+            assert sorted(sorted(row.items()) for row in got) == sorted(
+                sorted(row.items()) for row in want), g.name
 
 
 def test_center_and_derived_dims():
@@ -167,7 +187,7 @@ def _plain_center_and_derived(g):
     """The dense reference: the kernel of all stacked dense adjoints and the
     span of all brackets, each from one dense RREF."""
     F, n = g.field, g.dim
-    stacked = [row for i in range(n) for row in g.ad_matrix(g.basis_vector(i))]
+    stacked = dense(F, [row for i in range(n) for row in g.ad_matrix(g.basis_vector(i))], n)
     center = dense_span(F, dense_kernel(F, stacked, n), n)
     return center, dense_span(F, dense(F, g.brackets.values(), n), n)
 

@@ -7,6 +7,7 @@ this test makes that show in the tier-1 suite.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -20,6 +21,25 @@ def test_every_traced_callable_resolves(monkeypatch):
     for layer, privates in tracer.PRIVATE.items():
         for attr in privates:
             assert f"{layer.lstrip('_')}.{attr}" in names
+
+
+def test_every_size_hook_binds_to_its_callables_positional_parameters(monkeypatch):
+    """A traced call passes its arguments to the ``SIZE`` hook of its span,
+    so each hook that names a traced callable must accept exactly that
+    callable's positional parameters; only ``--trace 1`` runs the hooks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    originals = {name: fn for name, _, _, fn in tracer.traced_callables()}
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    bound = 0
+    for name, size_of in tracer.SIZE.items():
+        if name not in originals:
+            continue
+        params = inspect.signature(originals[name]).parameters.values()
+        args = [p.name for p in params if p.kind in positional]
+        inspect.signature(size_of).bind(*args)  # TypeError when they do not bind
+        bound += 1
+    assert bound
 
 
 def test_kernel_dim_fast_is_bound_where_the_tracer_wraps_it():
