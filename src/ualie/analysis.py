@@ -697,7 +697,8 @@ def verdict(
             report.rule = RULE_NONE
             report.bijection = {
                 "kind": "exhaustive_search",
-                "map": example,
+                "map": example["map"],
+                "pair": example["pair"],
                 "note": "commutator-preserving non-additive self-bijection "
                         "found by exhaustive search",
             }

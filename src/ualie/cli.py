@@ -7,7 +7,9 @@ sub-operations derive child seeds by fixed offsets, so reports are
 byte-deterministic given the same inputs and flags.  ``analyze`` and
 ``counterexample`` read their algebra, a file or a ``--builtin``, through
 one path that refuses a Jacobi failure naming the basis triple; a builtin
-past its size cap is a usage error.
+past its size cap is a usage error.  ``--field`` is a usage error where it
+names nothing: with an algebra file, which declares its field, and for
+``finite`` and ``catalog``.
 """
 
 from __future__ import annotations
@@ -97,10 +99,7 @@ def _resolve_algebra(args) -> StructureConstantAlgebra:
         g = _load_algebra(args)
     else:
         raise _Usage("provide an input file or --builtin NAME")
-    failure = g.validate().first_failure()
-    if failure:
-        i, j, k, _ = failure
-        raise _InputError(f"Jacobi identity fails at basis triple ({i},{j},{k})")
+    g.validate().require_ok()
     return g
 
 
@@ -394,6 +393,8 @@ def main(argv=None) -> int:
     try:
         if args.trials < 1 or args.B < 1 or args.samples < 1:
             raise _Usage("--trials, --B and --samples must be at least 1")
+        if args.field is not None and args.command in ("finite", "catalog"):
+            raise _Usage(f"--field applies to builtins and seaweeds, not to {args.command}")
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,6 +24,12 @@ class ValidationReport:
     def first_failure(self):
         return self.jacobi_failures[0] if self.jacobi_failures else None
 
+    def require_ok(self) -> None:
+        """Refuse an algebra that fails Jacobi, naming its first basis triple."""
+        if not self.ok:
+            i, j, k, _ = self.first_failure()
+            raise InvalidStructure(f"Jacobi identity fails at basis triple ({i},{j},{k})")
+
 
 class StructureConstantAlgebra:
     """Finite-dimensional Lie algebra given by sparse structure constants.
@@ -57,6 +63,7 @@ class StructureConstantAlgebra:
         self._basis_ads = None
         self._center = None
         self._derived = None
+        self._validation = None
 
     # -- elements ---------------------------------------------------------
 
@@ -169,17 +176,20 @@ class StructureConstantAlgebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Exhaustive Jacobi check over all basis triples i < j < k.
+        """Exhaustive Jacobi check over all basis triples i < j < k, run once
+        per algebra.
 
         A table of [e_a, e_b] for both orders, antisymmetry applied once, is
-        built per call; each triple sums [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]]
-        + [e_k, [e_i, e_j]] straight from it into one sparse defect.  For
-        each (j, k) the table's support names the i for which some term can
-        be nonzero; every other triple holds trivially and is skipped.  A
-        central e_j (an empty table row) is skipped outright: each of the
-        three terms brackets with e_j, so its triples all hold.  Failures
-        are listed with (j, k) outer and i inner, i ascending.
+        built once per algebra; each triple sums [e_i, [e_j, e_k]] + [e_j,
+        [e_k, e_i]] + [e_k, [e_i, e_j]] straight from it into one sparse
+        defect.  For each (j, k) the table's support names the i for which
+        some term can be nonzero; every other triple holds trivially and is
+        skipped.  A central e_j (an empty table row) is skipped outright:
+        each of the three terms brackets with e_j, so its triples all hold.
+        Failures are listed with (j, k) outer and i inner, i ascending.
         """
+        if self._validation is not None:
+            return self._validation
         F = self.field
         add, mul, zero = F.add, F.mul, F.zero
         n = self.dim
@@ -211,7 +221,8 @@ class StructureConstantAlgebra:
                         for kk, c in acc.items():
                             defect[kk] = c
                         failures.append((i, j, k, defect))
-        return ValidationReport(not failures, failures)
+        self._validation = ValidationReport(not failures, failures)
+        return self._validation
 
     # -- serialization ----------------------------------------------------
 

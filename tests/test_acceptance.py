@@ -171,7 +171,7 @@ def test_criterion_05_constructive_swap_on_finite_heisenberg(capfd):
         rep = fin.negative_bijection_finite(r)
         if rep.case != 3:
             failures.append(f"p={p}: case {rep.case}")
-        if not rep.commutator_scan_ok:
+        if not fin.verify_bijection(r, r, rep.table):
             failures.append(f"p={p}: full N x N scan failed")
         if rep.witness is None:
             failures.append(f"p={p}: no non-additivity witness")

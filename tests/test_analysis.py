@@ -472,6 +472,31 @@ def test_verdict_finite_small_order_wua():
     assert "additive" in rep.open_problem_note
 
 
+@pytest.mark.parametrize("name, p, kw", [
+    ("abelian", 5, {"d": 1}),
+    ("abelian", 3, {"d": 2}),
+    ("heisenberg", 2, {"k": 1}),
+    ("gl", 2, {"n": 2}),
+])
+def test_verdict_exhaustive_route_returns_a_certified_flat_map(monkeypatch, name, p, kw):
+    """With the swap criterion silenced, a small F_p algebra reaches the
+    exhaustive WUA search.  Its NOT_UA must carry one flat block, kind,
+    map, pair and note, whose map preserves every commutator of the
+    expanded table and breaks additivity at the pair."""
+    from ualie import finite as fin
+
+    monkeypatch.setattr(an, "negative_criterion", lambda g: None)
+    g = build_catalog(name, PrimeField(p), **kw)
+    rep = an.verdict(g)
+    assert (rep.verdict, rep.rule) == (an.VERDICT_NOT_UA, an.RULE_NONE), g.name
+    assert list(rep.bijection) == ["kind", "map", "pair", "note"]
+    assert rep.bijection["kind"] == "exhaustive_search"
+    r = fin.from_algebra(g)
+    m, (a, b) = rep.bijection["map"], rep.bijection["pair"]
+    assert fin.verify_bijection(r, r, m), g.name
+    assert m[r.add[a][b]] != r.add[m[a]][m[b]], g.name
+
+
 def test_verdict_finite_negative_criterion():
     g = build_catalog("abelian", PrimeField(2), d=3)
     rep = an.verdict(g)

@@ -122,6 +122,25 @@ def test_field_flag_with_an_algebra_file_is_a_usage_error(capsys, gl2_file, argv
     assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("finite", "wua", "klein", "--field", "Fp:3"),
+    ("--field", "Fp:3", "finite", "wua", "klein"),
+    ("finite", "against", "klein", "z4", "--field", "Q"),
+    ("--field", "Q", "finite", "against", "klein", "z4"),
+    ("finite", "field", "--p", "5", "--field", "Fp:7"),
+    ("--field", "Fp:7", "finite", "field", "--p", "5"),
+    ("catalog", "list", "--field", "Q"),
+    ("--field", "Q", "catalog", "list"),
+])
+def test_field_flag_with_finite_or_catalog_is_a_usage_error(capsys, argv):
+    """Finite rings carry their own tables, ``finite field`` its own p and
+    the catalog lists every field: a given --field is refused with one line
+    wherever it stands, not silently ignored."""
+    command = "catalog" if "catalog" in argv else "finite"
+    message = f"--field applies to builtins and seaweeds, not to {command}"
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
 def test_builtin_golden_records_hold_with_the_field_left_out_or_given_as_q(capsys):
     """Builtins and seaweeds read an absent --field as Q: every builtin record
     of the golden CLI corpus is reproduced, and a command without --field

@@ -495,8 +495,11 @@ def test_wua_heisenberg_f2_false():
 
 
 def test_ua_against_self_matches_wua():
-    for r in (fin.klein_ring(), fin.cyclic_ring(4), fin.cyclic_ring(5)):
-        assert fin.is_wua(r)[0] == fin.ua_against(r, r)[0], r.name
+    """`is_wua` returns the verdict of `ua_against(r, r)` and its map and pair."""
+    for r in (fin.klein_ring(), fin.cyclic_ring(4), fin.cyclic_ring(5), heis_ring(2)):
+        ok, evidence = fin.ua_against(r, r)
+        want = None if ok else {"map": evidence["map"], "pair": evidence["pair"]}
+        assert fin.is_wua(r) == (ok, want), r.name
 
 
 def test_ua_against_klein_z4():
@@ -515,6 +518,18 @@ def test_ua_against_klein_self_all_additive():
     assert ok and evidence["bijections_seen"] == 6
 
 
+def test_ua_against_refuses_a_map_that_fails_the_scan(monkeypatch):
+    """The non-additive map is returned only after the independent scan:
+    with the scan made to fail, the search's map is refused."""
+    monkeypatch.setattr(fin, "verify_bijection", lambda r, s, alpha: False)
+    with pytest.raises(HypothesesNotMet, match="fails the commutator scan"):
+        fin.ua_against(fin.klein_ring(), fin.cyclic_ring(4))
+    with pytest.raises(HypothesesNotMet, match="fails the commutator scan"):
+        fin.is_wua(fin.cyclic_ring(5))
+    # a search with no non-additive map scans nothing
+    assert fin.ua_against(fin.klein_ring(), fin.klein_ring())[0]
+
+
 # ---------------------------------------------------------------------------
 # negative criterion on raw tables
 
@@ -523,8 +538,7 @@ def test_negative_bijection_heisenberg_f2_frozen_witness():
     rep = fin.negative_bijection_finite(heis_ring(2))
     assert rep.case == 3
     assert rep.witness == {"u": 1, "c": 2, "alpha(u+c)": 3, "alpha(u)+alpha(c)": 7}
-    assert rep.commutator_scan_ok
-    assert all(ok for _, ok in rep.obligations)
+    assert fin.verify_bijection(heis_ring(2), heis_ring(2), rep.table)
     # table is a genuine permutation differing from the identity in two points
     t = rep.table
     assert sorted(t) == list(range(8))
@@ -532,14 +546,21 @@ def test_negative_bijection_heisenberg_f2_frozen_witness():
 
 
 def test_negative_bijection_full_scan_property():
-    """The returned table must preserve every commutator, not just pass the
-    recorded obligations; re-scan all pairs here."""
+    """The returned table must preserve every commutator; re-scan all pairs
+    here, apart from the package's own scan."""
     for r in (heis_ring(2), heis_ring(3), fin.cyclic_ring(8)):
         rep = fin.negative_bijection_finite(r)
         t = rep.table
         for a in range(r.order):
             for b in range(r.order):
                 assert t[r.bracket[a][b]] == r.bracket[t[a]][t[b]], (r.name, a, b)
+
+
+def test_negative_bijection_refuses_a_swap_that_fails_the_scan(monkeypatch):
+    """The swap is returned only after the full scan of every commutator."""
+    monkeypatch.setattr(fin, "verify_bijection", lambda r, s, alpha: False)
+    with pytest.raises(HypothesesNotMet, match="fails the commutator scan"):
+        fin.negative_bijection_finite(heis_ring(2))
 
 
 def test_negative_bijection_case1_commutative():
@@ -577,7 +598,7 @@ def test_the_swap_covers_a_two_element_center_meeting_derived_trivially():
         assert fin.verify_bijection(r, r, table), g.name
         assert table[r.add[iu][ic]] != r.add[table[iu]][table[ic]], g.name
         rep = fin.negative_bijection_finite(r)
-        assert rep.case == 2 and rep.commutator_scan_ok, g.name
+        assert rep.case == 2 and fin.verify_bijection(r, r, rep.table), g.name
     assert {("t(2)", 2), ("t(3)", 2), ("t(4)", 2)} <= set(seen), seen
 
 

@@ -4,11 +4,13 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from dense_rref import dense, dense_kernel, dense_span
 
 from ualie import _kernels
 from ualie._kernels import WITNESS_PRIME
 from ualie.constructions import CATALOG_EXAMPLES, build_catalog, direct_sum
+from ualie.errors import InvalidStructure
 from ualie.liecore import StructureConstantAlgebra
 from ualie.linalg import vec_add, vec_scale, vector_is_zero, vectors_equal
 from ualie.scalars import QQ, PrimeField
@@ -152,6 +154,26 @@ def test_validate_accepts_catalog_rejects_broken():
     i, j, k, defect = rep.first_failure()
     assert (i, j, k) == (0, 1, 2)
     assert not vector_is_zero(QQ, defect)
+
+
+def test_validate_runs_once_per_algebra():
+    g = build_catalog("sl", QQ, n=3)
+    assert g.validate() is g.validate()
+
+
+def test_require_ok_names_the_first_failing_triple():
+    """sl(3) with one structure constant bumped is refused by the one
+    Jacobi refusal, naming the triple `validate` reports first."""
+    g = build_catalog("sl", QQ, n=3)
+    g.validate().require_ok()  # a valid algebra passes
+    brackets = {ij: dict(row) for ij, row in g.brackets.items()}
+    key = min(brackets)
+    brackets[key][min(brackets[key])] += 1
+    bumped = StructureConstantAlgebra("sl(3)~", QQ, g.dim, g.basis_names, brackets)
+    i, j, k, _ = bumped.validate().first_failure()
+    with pytest.raises(InvalidStructure,
+                       match=rf"^Jacobi identity fails at basis triple \({i},{j},{k}\)$"):
+        bumped.validate().require_ok()
 
 
 def test_validate_is_fast_on_a_large_algebra_with_few_brackets():
