@@ -4,7 +4,8 @@ Positive route: over an infinite field, an algebra whose center is zero and
 which carries two elements with trivially intersecting centralizers (the
 C-condition) has unique addition.  The search for such a pair runs a fixed
 deterministic candidate schedule first and then seeded random trials; a miss
-is only probabilistic and the report carries the exact failure bound.
+is only probabilistic and the report carries the exact failure bound (it
+always misses on example_5_7: zero center, yet any two centralizers meet).
 
 Negative route: a constructive criterion that swaps two carefully chosen
 elements and fixes everything else.  When its hypotheses hold (more than
@@ -30,7 +31,7 @@ obligations, non-additivity witness) that becomes its ``bijection``.
 from __future__ import annotations
 
 from . import _kernels
-from .constructions import SeaweedSpec, build_example_5_7, build_seaweed
+from .constructions import SeaweedSpec, build_seaweed
 from .errors import (
     HypothesesNotMet,
     PerfectAlgebra,
@@ -52,7 +53,6 @@ from .rng import (
     DEFAULT_SEED,
     OFFSET_C_CONDITION,
     OFFSET_INJECTION,
-    OFFSET_REFUTATION,
     XorShift64Star,
     child_seed,
 )
@@ -213,73 +213,6 @@ def c_condition(
 
 
 # ---------------------------------------------------------------------------
-# the nine-dimensional refutation family
-
-
-class RefutationReport:
-    def __init__(self, samples: int, center_dim: int, failures: list):
-        self.samples = samples
-        self.center_dim = center_dim
-        self.failures = failures  # [(index, reason)]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures and self.center_dim == 0
-
-
-def verify_example_5_7_refutation(
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    bound: int = DEFAULT_BOUND,
-) -> RefutationReport:
-    """Certify on random pairs that the example_5_7 family fails the C-condition.
-
-    For sampled members A, B the element D with d = d35 = d45 = 0 and
-    (d13,d14,d15) = (d23,d24,d25) = (u,v,w), where (u,v,w) is a nonzero
-    solution of a35*x + a45*y - a*z = 0 = b35*x + b45*y - b*z, commutes with
-    both A and B; since D != 0, the mutual centralizer is never zero even
-    though the center of the algebra is.
-    """
-    from .scalars import QQ
-
-    g = build_example_5_7(QQ)
-    F = g.field
-    rng = XorShift64Star(child_seed(seed, OFFSET_REFUTATION))
-    failures = []
-    for s in range(samples):
-        A = _random_vector(F, 9, rng, bound)
-        B = _random_vector(F, 9, rng, bound)
-        D = refutation_witness(g, A, B)
-        if vector_is_zero(F, D):
-            failures.append((s, "witness is zero"))
-            continue
-        if not vector_is_zero(F, g.bracket(A, D)) or not vector_is_zero(F, g.bracket(B, D)):
-            failures.append((s, "witness does not commute"))
-            continue
-        if g.mutual_centralizer_dim(A, B) < 1:
-            failures.append((s, "mutual centralizer unexpectedly trivial"))
-    return RefutationReport(samples, g.center().dim, failures)
-
-
-def refutation_witness(g: StructureConstantAlgebra, A, B):
-    """The commuting element D for two members of the example_5_7 family."""
-    F = g.field
-    rows = [
-        {0: A[7], 1: A[8], 2: F.neg(A[0])},
-        {0: B[7], 1: B[8], 2: F.neg(B[0])},
-    ]
-    ker = span_and_kernel(F, 3, rows)[1]
-    uvw = ker.vector(0) if ker.dim else None
-    if uvw is None:  # cannot happen: 2 equations in 3 unknowns
-        raise HypothesesNotMet("no nonzero solution for the commuting element")
-    u, v, w = uvw
-    D = [F.zero] * 9
-    D[1], D[2], D[3] = u, v, w
-    D[4], D[5], D[6] = u, v, w
-    return D
-
-
-# ---------------------------------------------------------------------------
 # negative criterion
 
 
@@ -312,6 +245,9 @@ def _cardinality(field, dim):
 
 
 def _nonadditivity_candidates(g):
+    """e_k, then nonzero 2e_k and 3e_k.  Past four elements one avoids u, v
+    and v - u: over F_2, dim >= 3 and those hold at most two basis vectors;
+    elsewhere dim >= 2 gives four candidates; dim 1 (v = 2u) leaves 3e_0."""
     F = g.field
     n = g.dim
     for k in range(n):
@@ -321,9 +257,6 @@ def _nonadditivity_candidates(g):
         if not F.is_zero(c):
             for k in range(n):
                 yield vec_scale(F, c, g.basis_vector(k))
-    for k in range(n):
-        for l in range(k + 1, n):
-            yield vec_add(F, g.basis_vector(k), g.basis_vector(l))
 
 
 def negative_criterion(g: StructureConstantAlgebra) -> BijectionDescription | None:

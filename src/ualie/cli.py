@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", parents=[common], help="list builtin algebras")
     p.add_argument("action", choices=["list"])
 
-    p = sub.add_parser("finite", help="brute force on finite Lie rings")
+    p = sub.add_parser("finite", parents=[common], help="brute force on finite Lie rings")
     fsub = p.add_subparsers(dest="mode", required=True)
     f = fsub.add_parser("wua", parents=[common],
                         help="is every self-bijection additive?")

@@ -26,6 +26,7 @@ from itertools import chain
 from operator import getitem, itemgetter
 
 from .errors import (
+    BadParams,
     CapExceeded,
     HypothesesNotMet,
     InvalidStructure,
@@ -613,6 +614,8 @@ def semigroup_aut_report(p: int, n: int) -> dict:
     """
     from .scalars import ExtensionField, PrimeField
 
+    if n < 1:
+        raise BadParams(f"field degree n must be at least 1, got {n}")
     # p >= 2, so n >= bit_length(cap) gives p^n > cap before p**n is built;
     # a p below 2 is refused by the field itself
     if p >= 2 and (n >= SEMIGROUP_CAP.bit_length() or p**n > SEMIGROUP_CAP):

@@ -18,9 +18,8 @@ MASK64 = (1 << 64) - 1
 DEFAULT_SEED = 0x5EED5EED5EED5EED
 
 # Fixed child-stream offsets. New offsets must be appended, never reused.
-# Offset 3 is retired: it seeded a search that has been removed.
+# Offsets 2 and 3 are retired: they seeded code that has been removed.
 OFFSET_C_CONDITION = 1
-OFFSET_REFUTATION = 2
 OFFSET_INJECTION = 4
 
 _MULT = 2685821657736338717

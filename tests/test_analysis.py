@@ -172,30 +172,6 @@ def test_verdict_over_fp_never_calls_c_condition(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the nine-dimensional solvable family with trivial center
-
-
-def test_refutation_report_clean_on_seeded_samples():
-    rep = an.verify_example_5_7_refutation(samples=30, seed=999)
-    assert rep.samples == 30
-    assert rep.center_dim == 0
-    assert rep.failures == []
-    assert rep.all_ok
-
-
-def test_refutation_witness_annihilates_both_sides():
-    g = build_catalog("example_5_7", QQ)
-    rng = random.Random(5150)
-    for _ in range(10):
-        A = [Fraction(rng.randint(-5, 5)) for _ in range(9)]
-        B = [Fraction(rng.randint(-5, 5)) for _ in range(9)]
-        D = an.refutation_witness(g, A, B)
-        assert any(c != 0 for c in D)
-        assert all(c == 0 for c in g.bracket(A, D))
-        assert all(c == 0 for c in g.bracket(B, D))
-
-
-# ---------------------------------------------------------------------------
 # negative criterion
 
 

@@ -129,6 +129,8 @@ def test_field_flag_with_an_algebra_file_is_a_usage_error(capsys, gl2_file, argv
     ("--field", "Q", "finite", "against", "klein", "z4"),
     ("finite", "field", "--p", "5", "--field", "Fp:7"),
     ("--field", "Fp:7", "finite", "field", "--p", "5"),
+    ("finite", "--field", "Q", "wua", "klein"),
+    ("finite", "--field", "Fp:7", "field", "--p", "5"),
     ("catalog", "list", "--field", "Q"),
     ("--field", "Q", "catalog", "list"),
 ])
@@ -409,6 +411,8 @@ def test_oversized_builtins_and_seaweeds_are_refused_before_they_are_built(
     (("counterexample", "injection", "--builtin", "sl", "--n", "2"),
      "every element is a sum of commutators; no functional kills [g,g] only"),
     (("finite", "field", "--p", "4"), "4 is not prime"),
+    (("finite", "field", "--p", "5", "--n", "0"), "field degree n must be at least 1, got 0"),
+    (("finite", "field", "--p", "5", "--n", "-1"), "field degree n must be at least 1, got -1"),
     (("counterexample", "negcrit", "--builtin", "gl", "--n", "2", "--field", "Fq:2,2"),
      "negative criterion implemented over Q and F_p"),
 ])
@@ -517,6 +521,17 @@ def test_text_output_mode(capsys):
     assert "verdict: UA" in out
     assert out.splitlines()[0] == "algebra: sl(2)"
     assert not out.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("between, after", [
+    (("finite", "--text", "wua", "klein"), ("finite", "wua", "klein", "--text")),
+    (("finite", "--seed", "3", "field", "--p", "5"),
+     ("finite", "field", "--p", "5", "--seed", "3")),
+])
+def test_global_flags_are_accepted_between_finite_and_its_mode(capsys, between, after):
+    code, out, err = run_cli(capsys, *between)
+    assert (code, err) == (0, "")
+    assert out and run_cli(capsys, *after) == (0, out, "")
 
 
 def test_seed_flag_position_is_irrelevant(capsys):

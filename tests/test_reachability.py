@@ -17,7 +17,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "ualie"
 
 ALLOWED = {
-    "analysis.verify_example_5_7_refutation": "acceptance criterion 2 runs it",
     "finite.commutator_bijections": "the finite benchmark workload and criterion 9 count with it",
     "finite.naive_commutator_bijections": "the finite benchmark workload and criterion 9 "
     "check the counts against it",
