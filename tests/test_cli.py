@@ -411,10 +411,10 @@ def test_oversized_builtins_and_seaweeds_are_refused_before_they_are_built(
     (("counterexample", "injection", "--builtin", "sl", "--n", "2"),
      "every element is a sum of commutators; no functional kills [g,g] only"),
     (("finite", "field", "--p", "4"), "4 is not prime"),
-    (("finite", "field", "--p", "5", "--n", "0"), "field degree n must be at least 1, got 0"),
-    (("finite", "field", "--p", "5", "--n", "-1"), "field degree n must be at least 1, got -1"),
     (("counterexample", "negcrit", "--builtin", "gl", "--n", "2", "--field", "Fq:2,2"),
      "negative criterion implemented over Q and F_p"),
+    (("finite", "field", "--p", "5", "--n", "0"), "field degree n must be at least 1, got 0"),
+    (("finite", "field", "--p", "5", "--n", "-1"), "field degree n must be at least 1, got -1"),
 ])
 def test_refused_mathematical_input_is_an_input_error(capsys, argv, message):
     """Well-formed flags whose values the library refuses exit 1 with one
