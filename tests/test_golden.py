@@ -159,6 +159,13 @@ CLI_COMMANDS = (
         "finite against klein z4",
         "finite field --p 5",
         "finite field --p 2 --n 2",
+    ]
+    + [
+        f"finite field --p {p} --n {n}"
+        for p, n in ((2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4),
+                     (5, 2), (5, 3), (7, 2), (11, 2))
+    ]
+    + [
         "counterexample negcrit --builtin gl --n 2",
         "counterexample injection --builtin s2",
         "counterexample injection --builtin gl --n 2 --field Fp:3",
