@@ -267,12 +267,9 @@ def negative_criterion(g: StructureConstantAlgebra) -> BijectionDescription | No
     that case swaps a + z1, a + z2 (a in D) when |Z| > 2, and u, u + z for
     the first basis vector u outside D + Z when Z = {0, z}.  The returned
     description carries the case, the swap pair, the exactly verified
-    bracket obligations, and a non-additivity witness.  Supported over Q and
-    prime fields.
+    bracket obligations, and a non-additivity witness.
     """
     F = g.field
-    if F.kind not in ("Q", "Fp"):
-        raise UnsupportedField("negative criterion implemented over Q and F_p")
     card = _cardinality(F, g.dim)
     if card is not None and card <= 4:
         return None
@@ -316,16 +313,9 @@ def negative_criterion(g: StructureConstantAlgebra) -> BijectionDescription | No
     else:
         case = 3
         z = zder.vector(0)
-        a = None
-        for k in range(g.dim):
-            cand = g.basis_vector(k)
-            if not derived.contains(cand):
-                a = cand
-                break
-        if a is None:  # impossible: derived is proper
-            raise HypothesesNotMet("no basis vector outside the derived subalgebra")
-        u = a
-        v = vec_add(F, a, z)
+        # derived is proper, so some basis vector lies outside it
+        u = next(e for e in map(g.basis_vector, range(g.dim)) if not derived.contains(e))
+        v = vec_add(F, u, z)
         obligations = _swap_obligations(g, derived, u, v)
 
     if not all(ok for _, ok in obligations):
@@ -430,8 +420,8 @@ def central_extension_injection(
     functional phi vanishing on [g, g] with phi(x1) = 1 for some basis-
     completion vector x1 twists the embedding by gamma(phi(x)) z where gamma
     is the indicator of nonzero; commutators land in the derived subalgebra
-    where the twist vanishes, while beta(x1 + t*x1) != beta(x1) + beta(t*x1)
-    for a suitable nonzero scalar t.
+    where the twist vanishes, while beta(x1 + x1) != beta(x1) + beta(x1),
+    as 1 + 1 != 0 over Q and every F_p with p >= 3.
     """
     from .constructions import build_abelian, direct_sum
 
@@ -479,14 +469,7 @@ def central_extension_injection(
     obligations.append((f"beta([x,y]) = [beta(x),beta(y)] on {samples} random pairs", ext_ok))
     result.checked_pairs = samples
 
-    t = F.one
-    if F.is_zero(F.add(F.one, F.one)):  # char 2: steer clear of t = -1
-        for cand in F.elements():
-            if not F.is_zero(cand) and not F.is_zero(F.sub(cand, F.one)):
-                t = cand
-                break
-    w1 = x1
-    w2 = vec_scale(F, t, x1)
+    w1 = w2 = x1
     left = result.beta(vec_add(F, w1, w2))
     right = vec_add(s.field, result.beta(w1), result.beta(w2))
     obligations.append(("beta(w1 + w2) != beta(w1) + beta(w2)",
@@ -566,7 +549,7 @@ def verdict(
     positive criterion is unavailable (it needs infinitely many scalars), so
     the swap criterion is tried first and rings of order at most
     ``finite.ENUM_CAP`` fall back to an exhaustive weak-unique-addition
-    search; over an extension field no criterion is routed.
+    search.
     """
     F = g.field
     report = VerdictReport(g, seed)
@@ -581,12 +564,6 @@ def verdict(
                 "One-element ring: every commutator-preserving bijection is trivially "
                 "additive, but the positive criterion is reserved for infinite fields."
             )
-        return report
-    if F.kind == "Fq":
-        report.open_problem_note = (
-            "Criteria over extension fields are not implemented; only Q and prime "
-            "fields are routed."
-        )
         return report
     if F.kind == "Q" and report.center_dim == 0:
         res = c_condition(g, trials=trials, seed=child_seed(seed, OFFSET_C_CONDITION),
@@ -610,14 +587,8 @@ def verdict(
         report.bijection = neg.to_json_dict(F)
         return report
     if F.kind == "Q":
-        if report.derived_codim == 0:
-            report.open_problem_note = NOTE_OPEN_PERFECT_CENTER
-        else:
-            report.open_problem_note = (
-                "Neither criterion applies: the positive one needs zero center, "
-                "the negative one needs the hypotheses on size, derived subalgebra "
-                "and center."
-            )
+        # over Q with nonzero center the criterion declines only when D = g
+        report.open_problem_note = NOTE_OPEN_PERFECT_CENTER
         return report
     # over F_p only obstructions can be certified: exhaustive search on small rings
     from . import finite  # imported here: no Q verdict needs it

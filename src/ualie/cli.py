@@ -309,7 +309,7 @@ def _add_run_flags(parser, suppress: bool):
     out.add_argument("--text", dest="text", action="store_true", default=sup,
                      help="flat key: value lines instead of JSON")
     parser.add_argument("--field", default=dflt(None),
-                        help="Q | Fp:<p> | Fq:<p>,<n>, for builtins and seaweeds (default Q)")
+                        help="Q | Fp:<p>, for builtins and seaweeds (default Q)")
 
 
 def _add_algebra_input(parser):

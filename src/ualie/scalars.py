@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic over Q, prime fields F_p, and extensions F_{p^n}.
+"""Exact scalar arithmetic over Q and prime fields F_p, the fields an
+algebra can have, and over F_{p^n} for ``ualie finite field`` alone.
 
 Raw representations (no wrapper object per scalar):
 
@@ -20,9 +21,7 @@ import re
 from fractions import Fraction
 from itertools import product
 
-from .errors import BadParams, CapExceeded, DivisionByZero, FieldMismatch
-
-EXTENSION_ORDER_CAP = 4096
+from .errors import BadParams, DivisionByZero, FieldMismatch
 
 
 def _is_prime(m: int) -> bool:
@@ -259,37 +258,24 @@ def _is_irreducible(poly, p: int) -> bool:
 
 
 class ExtensionField:
-    """F_{p^n} as F_p[x] modulo a monic irreducible of degree n.
+    """F_{p^n} as F_p[x] modulo a monic irreducible of degree n, for the
+    multiplicative-map report of ``ualie finite field`` only: no algebra is
+    built over it.
 
-    Elements are length-n tuples of residues, constant term first.  When no
-    modulus is passed the monic irreducible whose non-leading coefficients
-    (constant term first) are lex-smallest is chosen, so two fields built
-    from the same (p, n) are identical.
+    Elements are length-n tuples of residues, constant term first.  The
+    modulus is the monic irreducible whose non-leading coefficients
+    (constant term first) are lex-smallest, so two fields built from the
+    same (p, n) are identical.
     """
 
-    kind = "Fq"
-
-    def __init__(self, p: int, n: int, modulus=None):
+    def __init__(self, p: int, n: int):
         if not _is_prime(p):
             raise BadParams(f"{p} is not prime")
-        if n < 2:
-            raise BadParams("extension degree must be >= 2 (use PrimeField for n=1)")
-        # p >= 2, so n >= bit_length(cap) gives p^n > cap before p**n is built
-        if n >= EXTENSION_ORDER_CAP.bit_length() or p**n > EXTENSION_ORDER_CAP:
-            raise CapExceeded(f"{p}^{n} exceeds the extension order cap {EXTENSION_ORDER_CAP}")
-        if modulus is None:
-            modulus = next(
-                t + (1,) for t in product(range(p), repeat=n) if _is_irreducible(t + (1,), p)
-            )
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise BadParams("modulus must be monic of degree n, constant term first")
-        if not _is_irreducible(modulus, p):
-            raise BadParams("modulus is reducible")
+        modulus = next(
+            t + (1,) for t in product(range(p), repeat=n) if _is_irreducible(t + (1,), p)
+        )
         self.p = p
         self.n = n
-        self.modulus = modulus
-        self.char = p
         self.order = p**n
         self.zero = (0,) * n
         self.one = tuple([1 % p] + [0] * (n - 1))
@@ -311,10 +297,6 @@ class ExtensionField:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
     def mul(self, a, b):
         p, n = self.p, self.n
         conv = [0] * (2 * n - 1)
@@ -330,6 +312,8 @@ class ExtensionField:
                 out = [(out[i] + c * red[i]) % p for i in range(n)]
         return tuple(out)
 
+    # no command divides in F_q; inv and div stay because the benchmark's
+    # field-operation counter wraps add/sub/mul/div/inv on every field class
     def inv(self, a):
         """a^(q-2) by square-and-multiply: the inverse, as a^(q-1) = 1."""
         if self.is_zero(a):
@@ -342,60 +326,18 @@ class ExtensionField:
             e >>= 1
         return out
 
-    def sparse(self, row: dict) -> dict:
-        """A copy of the sparse row ``{column: scalar}`` without its zeros."""
-        return {c: x for c, x in row.items() if any(x)}
-
-    def sub_scaled(self, v: dict, f, row: dict):
-        """v -= f * row on sparse rows, dropping entries that vanish."""
-        for j, y in row.items():
-            w = self.sub(v.get(j, self.zero), self.mul(f, y))
-            if self.is_zero(w):
-                v.pop(j, None)
-            else:
-                v[j] = w
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return all(c == 0 for c in a)
 
-    def from_int(self, k: int):
-        return tuple([k % self.p] + [0] * (self.n - 1))
-
     def format(self, a) -> str:
         return ",".join(str(c) for c in a)
-
-    def parse(self, s: str):
-        parts = [t.strip() for t in s.split(",")]
-        if len(parts) != self.n:
-            raise BadParams(f"expected {self.n} coefficients, got {s!r}")
-        try:
-            return tuple(int(t) % self.p for t in parts)
-        except ValueError as e:
-            raise BadParams(f"bad coefficient list {s!r}") from e
-
-    def random(self, rng, bound: int = 0):
-        return tuple(rng.below(self.p) for _ in range(self.n))
 
     def elements(self):
         for tail in product(range(self.p), repeat=self.n):
             yield tail
-
-    def to_json(self) -> dict:
-        return {"kind": "Fq", "p": self.p, "n": self.n, "modulus": list(self.modulus)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.n == self.n
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.n, self.modulus))
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"
@@ -417,18 +359,11 @@ def field_from_json(obj: dict):
         return QQ
     if kind == "Fp":
         return PrimeField(_json_int(obj["p"], "p"))
-    if kind == "Fq":
-        modulus = obj.get("modulus")
-        if modulus is not None:
-            if not isinstance(modulus, list):
-                raise TypeError(f"modulus must be a list, got {modulus!r}")
-            modulus = [_json_int(c, "modulus coefficient") for c in modulus]
-        return ExtensionField(_json_int(obj["p"], "p"), _json_int(obj["n"], "n"), modulus)
-    raise BadParams(f"unknown field kind {kind!r}")
+    raise BadParams(f"unknown field kind {kind!r} (expected Q or Fp)")
 
 
 def parse_field_flag(text: str):
-    """Parse the CLI field grammar: Q | Fp:<p> | Fq:<p>,<n>."""
+    """Parse the CLI field grammar: Q | Fp:<p>."""
     t = text.strip()
     if t == "Q":
         return QQ
@@ -437,15 +372,7 @@ def parse_field_flag(text: str):
             return PrimeField(int(t[3:]))
         except ValueError as e:
             raise BadParams(f"bad field flag {text!r}") from e
-    if t.startswith("Fq:"):
-        parts = t[3:].split(",")
-        if len(parts) != 2:
-            raise BadParams(f"bad field flag {text!r}")
-        try:
-            return ExtensionField(int(parts[0]), int(parts[1]))
-        except ValueError as e:
-            raise BadParams(f"bad field flag {text!r}") from e
-    raise BadParams(f"bad field flag {text!r} (expected Q, Fp:<p>, or Fq:<p>,<n>)")
+    raise BadParams(f"bad field flag {text!r} (expected Q or Fp:<p>)")
 
 
 def require_same_field(f1, f2, what: str = "operands"):

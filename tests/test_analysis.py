@@ -16,9 +16,10 @@ from dense_rref import dense, dense_rank, dense_rref
 
 from ualie import analysis as an
 from ualie.constructions import CATALOG_EXAMPLES, SeaweedSpec, build_catalog, build_seaweed
-from ualie.errors import BadCharacteristic, PerfectAlgebra, UnsupportedField
+from ualie.errors import BadCharacteristic, HypothesesNotMet, PerfectAlgebra, UnsupportedField
 from ualie.liecore import StructureConstantAlgebra
-from ualie.scalars import QQ, ExtensionField, PrimeField, Rationals
+from ualie.linalg import Subspace
+from ualie.scalars import QQ, PrimeField, Rationals
 
 Z = Fraction(0)
 O = Fraction(1)
@@ -80,6 +81,15 @@ def test_c_condition_nontrivial_center_is_certified_failure():
     res = an.c_condition(g)
     assert res.outcome == an.OUTCOME_CERTIFIED_FAILS
     assert res.certificate == "nontrivial center"
+
+
+def test_c_condition_refuses_a_witness_the_exact_check_rejects(monkeypatch):
+    """A pair the certificate accepts is reported only after the exact
+    re-verification: with every nullity read as 0, example_5_7 (zero center,
+    yet any two centralizers meet) is refused, not certified UA."""
+    monkeypatch.setattr(an, "kernel_dim_fast", lambda *args: 0)
+    with pytest.raises(HypothesesNotMet, match="^witness failed exact re-verification$"):
+        an.c_condition(build_catalog("example_5_7", QQ))
 
 
 def test_c_condition_probable_failure_with_quoted_bound():
@@ -156,7 +166,6 @@ def test_c_condition_refuses_finite_fields():
     for g in (
         build_catalog("sl", PrimeField(3), n=2),
         build_catalog("heisenberg", PrimeField(3), k=1),
-        build_catalog("sl", ExtensionField(3, 2), n=2),
     ):
         with pytest.raises(UnsupportedField):
             an.c_condition(g)
@@ -220,6 +229,16 @@ def test_negative_criterion_hypothesis_gates():
     assert an.negative_criterion(build_catalog("s2", QQ)) is None
     # too small: |R| = 4 over F_2
     assert an.negative_criterion(build_catalog("abelian", PrimeField(2), d=2)) is None
+
+
+def test_negative_criterion_refuses_a_swap_whose_obligations_fail():
+    """The swap is returned only when its bracket obligations hold: with the
+    center of gl(2) replaced by the span of e_1 (= E12, not central), the
+    swap E11 <-> E11 + E12 changes brackets and is refused."""
+    g = build_catalog("gl", QQ, n=2)
+    g._center = Subspace.from_spanning(QQ, g.dim, [{1: 1}])
+    with pytest.raises(HypothesesNotMet, match="^swap obligations failed"):
+        an.negative_criterion(g)
 
 
 def test_negative_criterion_swap_really_preserves_brackets():
@@ -321,15 +340,6 @@ def test_injection_refuses_perfect_algebra():
         an.central_extension_injection(build_catalog("sl", QQ, n=2))
 
 
-def test_injection_char2_witness_uses_nonunit_scalar():
-    F4 = ExtensionField(2, 2)
-    g = build_catalog("abelian", F4, d=2)
-    res = an.central_extension_injection(g)
-    assert res.all_ok
-    x, y = res.witness_pair
-    assert x != y  # t = 1 would make beta(2x) = beta(0) trivially additive
-
-
 def _dense_injection_functional(g):
     """x1 and phi from the dense oracle: [g, g] from one dense RREF,
     completed by each basis vector, in index order, that raises the dense
@@ -351,7 +361,7 @@ def _dense_injection_functional(g):
 
 def test_injection_functional_is_the_first_column_of_the_inverse_adapted_basis():
     checked = 0
-    for F in (QQ, PrimeField(3), PrimeField(5), ExtensionField(3, 2)):
+    for F in (QQ, PrimeField(3), PrimeField(5), PrimeField(7)):
         for name, params in CATALOG_EXAMPLES.items():
             for scale in (0, 1) if params else (0,):
                 try:

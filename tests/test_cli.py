@@ -12,7 +12,7 @@ import pytest
 
 from ualie import cli
 from ualie.constructions import build_catalog
-from ualie.scalars import QQ, ExtensionField
+from ualie.scalars import QQ
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -181,13 +181,6 @@ def _gl2_first_bracket(**changes):
     return data
 
 
-def _gl2_f4_with(**field):
-    """gl(2) over F_4, whose file reads as it is but for ``field``."""
-    data = build_catalog("gl", ExtensionField(2, 2), n=2).to_json_dict()
-    data["field"].update(field)
-    return data
-
-
 _Z2 = {"order": 2, "add": [[0, 1], [1, 0]], "bracket": [[0, 0], [0, 0]]}
 
 
@@ -206,8 +199,9 @@ MALFORMED_INPUTS = {
     "field-p-float": (_gl2_with(field={"kind": "Fp", "p": 7.9}), "algebra"),
     "field-p-infinite": (_gl2_with(field={"kind": "Fp", "p": float("inf")}), "algebra"),
     "field-p-string": (_gl2_with(field={"kind": "Fp", "p": "7"}), "algebra"),
-    "field-n-float": (_gl2_f4_with(n=2.7), "algebra"),
-    "field-modulus-float": (_gl2_f4_with(modulus=[1, 1.0, 1]), "algebra"),
+    "field-n-float": (_gl2_with(field={"kind": "Fq", "p": 2, "n": 2.7}), "algebra"),
+    "field-modulus-float": (
+        _gl2_with(field={"kind": "Fq", "p": 2, "n": 2, "modulus": [1, 1.0, 1]}), "algebra"),
     "brackets-number": (_gl2_with(brackets=5), "algebra"),
     "basis-names-number": (_gl2_with(basis_names=5), "algebra"),
     "basis-names-objects": (_gl2_with(basis_names=[1, {"x": 2}, "e3", "e4"]), "algebra"),
@@ -411,8 +405,8 @@ def test_oversized_builtins_and_seaweeds_are_refused_before_they_are_built(
     (("counterexample", "injection", "--builtin", "sl", "--n", "2"),
      "every element is a sum of commutators; no functional kills [g,g] only"),
     (("finite", "field", "--p", "4"), "4 is not prime"),
-    (("counterexample", "negcrit", "--builtin", "gl", "--n", "2", "--field", "Fq:2,2"),
-     "negative criterion implemented over Q and F_p"),
+    (("analyze", "--builtin", "gl", "--n", "2", "--field", "Fq:2,2"),
+     "bad field flag 'Fq:2,2' (expected Q or Fp:<p>)"),
     (("finite", "field", "--p", "5", "--n", "0"), "field degree n must be at least 1, got 0"),
     (("finite", "field", "--p", "5", "--n", "-1"), "field degree n must be at least 1, got -1"),
 ])
@@ -420,6 +414,16 @@ def test_refused_mathematical_input_is_an_input_error(capsys, argv, message):
     """Well-formed flags whose values the library refuses exit 1 with one
     `input error:` line and nothing on stdout."""
     assert run_cli(capsys, *argv) == (1, "", f"input error: {message}\n")
+
+
+def test_extension_field_files_are_input_errors(capsys, tmp_path):
+    """Only Q and F_p are algebra fields: a file over F_q exits 1 with one
+    line naming them."""
+    path = tmp_path / "gl2_f4.json"
+    path.write_text(json.dumps(_gl2_with(field={"kind": "Fq", "p": 2, "n": 2})))
+    for command in ("validate", "analyze"):
+        assert run_cli(capsys, command, str(path)) == (
+            1, "", f"input error: {path}: unknown field kind 'Fq' (expected Q or Fp)\n")
 
 
 def test_counterexample_negcrit(capsys):

@@ -568,6 +568,23 @@ def test_negative_bijection_case1_commutative():
     assert rep.case == 1
 
 
+def test_negative_bijection_case2_with_a_center_of_more_than_two_elements():
+    """t(2)+F_2 has order 16, and its four-element center meets D = {0, E12}
+    trivially: case 2 swaps a + z1 and a + z2 (a = E12, z1 < z2 the two
+    smallest nonzero central labels), the swap passes the commutator scan,
+    and the witness breaks additivity."""
+    F2 = PrimeField(2)
+    r = fin.from_algebra(direct_sum(build_catalog("t", F2, n=2), build_catalog("abelian", F2, d=1)))
+    assert r.order == 16 and r.derived_elements() == {0, 2}
+    assert sorted(r.center_elements()) == [0, 5, 8, 13]
+    rep = fin.negative_bijection_finite(r)
+    assert rep.case == 2
+    assert [(i, x) for i, x in enumerate(rep.table) if x != i] == [(7, 10), (10, 7)]
+    assert (r.add[2][5], r.add[2][8]) == (7, 10)
+    assert fin.verify_bijection(r, r, rep.table)
+    assert rep.witness == {"u": 7, "c": 1, "alpha(u+c)": 6, "alpha(u)+alpha(c)": 11}
+
+
 def test_the_swap_covers_a_two_element_center_meeting_derived_trivially():
     """Rings with Z ∩ D = 0, |Z| = 2 and |R/D| > 2 (D the derived subring)
     fell outside the old hypothesis |Z| > 2.  On every such catalog ring over

@@ -1,12 +1,12 @@
-"""Field arithmetic: exact rationals, prime fields, small extension fields."""
+"""Field arithmetic: exact rationals, prime fields, and the small extension
+fields of ``finite field``."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
-from ualie.errors import BadParams, CapExceeded, DivisionByZero
+from ualie.errors import BadParams, DivisionByZero
 from ualie.scalars import QQ, ExtensionField, PrimeField, parse_field_flag
 
 
@@ -74,7 +74,7 @@ def test_extension_field_f4():
     F = ExtensionField(2, 2)
     els = list(F.elements())
     assert len(els) == 4
-    assert F.order == 4 and F.char == 2
+    assert F.order == 4 and F.p == 2
     # x * x = x + 1 modulo the default irreducible x^2 + x + 1
     x = (0, 1)
     assert F.mul(x, x) == (1, 1)
@@ -100,7 +100,7 @@ def test_extension_field_f9_axioms_random():
         assert F.add(a, b) == F.add(b, a)
         assert F.mul(a, b) == F.mul(b, a)
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.add(a, F.neg(a)) == F.zero
+        assert F.add(F.sub(a, b), b) == a
 
 
 def test_extension_field_frobenius_is_additive():
@@ -117,33 +117,22 @@ def test_extension_field_frobenius_is_additive():
             assert frob(F.add(a, b)) == F.add(frob(a), frob(b))
 
 
-def test_extension_field_refuses_a_huge_degree_at_once():
-    """p^n past the order cap is refused without building p**n."""
-    assert ExtensionField(2, 12).order == 4096  # at the cap: accepted
-    for p, n in ((2, 13), (3, 8), (3, 10**7)):
-        start = time.perf_counter()
-        with pytest.raises(CapExceeded, match=rf"^{p}\^{n} exceeds the extension order cap 4096$"):
-            ExtensionField(p, n)
-        assert time.perf_counter() - start < 0.5
-
-
 def test_field_json_round_trip():
     from ualie.scalars import field_from_json
 
-    for F in (QQ, PrimeField(5), ExtensionField(2, 2)):
+    for F in (QQ, PrimeField(5)):
         G = field_from_json(F.to_json())
-        assert G.kind == F.kind and G.char == F.char
-        if F.kind != "Q":
-            assert G.order == F.order
+        assert G.kind == F.kind and G.char == F.char and G.order == F.order
+    with pytest.raises(BadParams, match=r"^unknown field kind 'Fq' \(expected Q or Fp\)$"):
+        field_from_json({"kind": "Fq", "p": 2, "n": 2})
 
 
 def test_parse_field_flag():
     assert parse_field_flag("Q").kind == "Q"
     assert parse_field_flag("Fp:5").p == 5
-    F = parse_field_flag("Fq:2,3")
-    assert F.kind == "Fq" and F.order == 8
-    with pytest.raises(BadParams):
-        parse_field_flag("R")
+    for text in ("R", "Fq:2,3"):
+        with pytest.raises(BadParams, match=r"\(expected Q or Fp:<p>\)$"):
+            parse_field_flag(text)
     with pytest.raises(BadParams):
         parse_field_flag("Fp:abc")
 
@@ -151,7 +140,7 @@ def test_parse_field_flag():
 def test_field_random_is_deterministic():
     from ualie.rng import XorShift64Star
 
-    for F in (QQ, PrimeField(11), ExtensionField(2, 2)):
+    for F in (QQ, PrimeField(11)):
         r1 = XorShift64Star(42)
         r2 = XorShift64Star(42)
         seq1 = [F.random(r1, 10) for _ in range(20)]

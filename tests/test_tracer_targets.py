@@ -2,12 +2,15 @@
 
 ``perfbench/tracer.py`` wraps the public functions of every layer plus the
 methods it lists in ``METHODS`` and the private functions in ``PRIVATE``.
-Renaming or deleting one of those breaks ``perfbench/run.py --trace 1``;
-this test makes that show in the tier-1 suite.
+Its ``FieldOpCounter`` wraps the operations in ``FIELD_OPS`` on every field
+class of ``ualie.scalars``.  Renaming or deleting one of those breaks
+``perfbench/run.py --trace 1``; these tests make that show in the tier-1
+suite.
 """
 
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -50,3 +53,24 @@ def test_kernel_dim_fast_is_bound_where_the_tracer_wraps_it():
 
     for mod in (linalg, liecore, analysis):
         assert getattr(mod, "kernel_dim_fast", None) is linalg.kernel_dim_fast, mod.__name__
+
+
+def test_tracer_and_field_op_counter_install_and_remove(monkeypatch):
+    """``--trace 1`` patches the package in place with both probes, so a
+    trim that deletes a name either one patches (a field operation of
+    `ExtensionField`, say) must fail here and not only in a traced benchmark
+    run; each probe must also put every original back."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"ualie.{layer}")
+    modules = [m for n, m in sys.modules.items() if n == "ualie" or n.startswith("ualie.")]
+    classes = {v for m in modules for v in vars(m).values()
+               if inspect.isclass(v) and v.__module__.startswith("ualie.")}
+    before = [(owner, dict(vars(owner))) for owner in [*modules, *classes]]
+    for probe in (tracer.Tracer(), tracer.FieldOpCounter()):
+        probe.install()
+        assert probe._patches
+        probe.remove()
+    for owner, namespace in before:
+        assert dict(vars(owner)) == namespace, owner.__name__
