@@ -12,7 +12,8 @@ and F_3, on broken variants of sl(3), gl(3), t(3) and n(4) with one
 structure constant bumped by 1 or by 1/2, and the stdout and exit code of
 ``ualie validate`` on one broken file.
 
-``cli.jsonl`` pins the exit code, stdout and stderr of the ``finite`` and
+``cli.jsonl`` pins the exit code, stdout and stderr of the ``finite`` commands
+(``finite field`` at p = 5 and at every extension order up to 128), of the
 ``counterexample`` commands, and of ``analyze`` on sl(2) over F_3 (order 27,
 searched exhaustively) and over F_5 (order 125, past the exhaustive-search
 cap, which the note names).
