@@ -2,9 +2,10 @@
 
 Exit codes: 0 = a verdict or report was produced (UNKNOWN counts — the open
 cases are open, not errors); 1 = the input failed validation or an analysis
-precondition; 2 = usage error.  All randomness flows from the single --seed;
-sub-operations derive child seeds by fixed offsets, so reports are
-byte-deterministic given the same inputs and flags.  ``analyze`` and
+precondition; 2 = usage error.  The one randomized step, the C-condition's
+trials under ``analyze`` and ``seaweed``, draws from a child of the single
+--seed at a fixed offset, so reports are byte-deterministic given the same
+inputs and flags; ``counterexample`` draws nothing.  ``analyze`` and
 ``counterexample`` read their algebra, a file or a ``--builtin``, through
 one path that refuses a Jacobi failure naming the basis triple; a builtin
 past its size cap is a usage error.  ``--field`` is a usage error where it
@@ -253,8 +254,7 @@ def _cmd_counterexample(args) -> int:
             "note": "negative-criterion hypotheses do not hold" if res is None else None,
         }
     else:  # injection
-        res = analysis.central_extension_injection(
-            g, samples=args.samples, seed=args.seed, bound=args.B)
+        res = analysis.central_extension_injection(g)
         payload = {
             "algebra": g.name,
             "extended": res.extended.name,
@@ -262,7 +262,6 @@ def _cmd_counterexample(args) -> int:
             "functional": [F.format(c) for c in res.functional],
             "x1": [F.format(c) for c in res.x1],
             "witness_pair": [[F.format(c) for c in w] for w in res.witness_pair],
-            "checked_pairs": res.checked_pairs,
             "obligations": [{"check": t, "ok": ok} for t, ok in res.obligations],
             "all_ok": res.all_ok,
         }
@@ -301,8 +300,6 @@ def _add_run_flags(parser, suppress: bool):
                         help="random trials for probabilistic searches")
     parser.add_argument("--B", type=int, default=dflt(analysis.DEFAULT_BOUND),
                         help="coordinate sampling bound")
-    parser.add_argument("--samples", type=int, default=dflt(analysis.DEFAULT_SAMPLES),
-                        help="verification sample count")
     out = parser.add_mutually_exclusive_group()
     out.add_argument("--json", dest="text", action="store_false", default=dflt(False),
                      help="JSON output (default)")
@@ -391,8 +388,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.trials < 1 or args.B < 1 or args.samples < 1:
-            raise _Usage("--trials, --B and --samples must be at least 1")
+        if args.trials < 1 or args.B < 1:
+            raise _Usage("--trials and --B must be at least 1")
         if args.field is not None and args.command in ("finite", "catalog"):
             raise _Usage(f"--field applies to builtins and seaweeds, not to {args.command}")
         return _COMMANDS[args.command](args)

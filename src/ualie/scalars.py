@@ -204,9 +204,6 @@ class PrimeField:
         except ValueError as e:
             raise BadParams(f"bad residue {s!r} for F_{self.p}") from e
 
-    def random(self, rng, bound: int = 0):
-        return rng.below(self.p)
-
     def elements(self):
         return range(self.p)
 

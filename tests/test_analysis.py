@@ -301,7 +301,6 @@ def test_injection_s2():
     res = an.central_extension_injection(g)
     assert res.all_ok
     assert res.functional == [O, Z]
-    assert res.checked_pairs == 100
     assert all(ok for _, ok in res.obligations)
     # beta maps into a space one dimension up and is injective on a sample
     img = res.beta([O, Z])
@@ -320,19 +319,23 @@ def test_injection_witness_pair_shows_nonadditivity():
 
 
 def test_injection_preserves_commutators_random():
-    g = build_catalog("abelian", QQ, d=2)
-    res = an.central_extension_injection(g)
-    assert res.all_ok
+    """[beta x, beta y], bracketed in the extension, equals beta([x, y]) on
+    seeded pairs: a sampled reference for the exact bracket obligation."""
     rng = random.Random(33)
-    for _ in range(30):
-        x = [Fraction(rng.randint(-6, 6)) for _ in range(2)]
-        y = [Fraction(rng.randint(-6, 6)) for _ in range(2)]
-        bx = res.beta(x)
-        by = res.beta(y)
-        # the extension is trivial on brackets: [beta x, beta y] = beta' [x,y]
-        bracket_img = g.bracket(x, y) + [Fraction(0)]
-        ext_bracket = bracket_img  # abelian: both sides are zero
-        assert all(c == 0 for c in ext_bracket) or bx != by
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    cases = ((build_catalog("s2", QQ), rational), (build_catalog("t", QQ, n=3), rational),
+             (build_catalog("gl", PrimeField(3), n=2), lambda: rng.randrange(3)))
+    for g, draw in cases:
+        res = an.central_extension_injection(g)
+        for _ in range(300):
+            x = [draw() for _ in range(g.dim)]
+            y = [draw() for _ in range(g.dim)]
+            lhs = res.extended.bracket(res.beta(x), res.beta(y))
+            assert lhs == res.beta(g.bracket(x, y)), (g.name, x, y)
+        assert res.all_ok, g.name
 
 
 def test_injection_refuses_perfect_algebra():

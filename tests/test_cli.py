@@ -248,7 +248,9 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
 ], ids=["injection-B-2^31", "analyze-B-2^31", "injection-p-past-2^32"])
 def test_draws_past_32_bits_finish(capsys, argv):
     """Sampling ranges wider than 2^32 (|x| <= B with B >= 2^31, or a
-    prime past 2^32) once never returned."""
+    prime past 2^32) once never returned.  The injection cases no longer
+    draw; analyze-B-2^31 is the one whose C-condition trials reach
+    `below()` past 2^32."""
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5.0
@@ -443,6 +445,10 @@ def test_counterexample_injection(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["all_ok"] is True and d["functional"] == ["1", "0"]
+    # commutators are proved, not sampled: there is no sample count to give
+    code, _, err = run_cli(capsys, "counterexample", "injection", "--builtin", "s2",
+                           "--samples", "5")
+    assert code == 2 and "unrecognized arguments: --samples 5" in err
 
     code, _, err = run_cli(capsys, "counterexample", "injection", "--builtin", "sl", "--n", "2")
     assert code == 1  # perfect algebra: no such functional exists
