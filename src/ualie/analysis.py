@@ -3,9 +3,10 @@
 Positive route: over an infinite field, an algebra whose center is zero and
 which carries two elements with trivially intersecting centralizers (the
 C-condition) has unique addition.  The search for such a pair runs a fixed
-deterministic candidate schedule first and then seeded random trials; a miss
-is only probabilistic and the report carries the exact failure bound (it
-always misses on example_5_7: zero center, yet any two centralizers meet).
+deterministic candidate schedule first and then `TRIALS` seeded random
+pairs with coordinates in [-`BOUND`, `BOUND`]; a miss is only probabilistic
+and the report carries the exact failure bound (it always misses on
+example_5_7: zero center, yet any two centralizers meet).
 
 Negative route: a constructive criterion that swaps two carefully chosen
 elements and fixes everything else.  When its hypotheses hold (more than
@@ -75,12 +76,14 @@ NOTE_OPEN_PERFECT_CENTER = (
     "unique addition? Both implemented criteria are silent here."
 )
 
-DEFAULT_TRIALS = 64
-DEFAULT_BOUND = 1024
+# the C-condition's random stage: TRIALS pairs, coordinates in [-BOUND, BOUND];
+# fixed, and quoted in the confidence block of every report it leaves open
+TRIALS = 64
+BOUND = 1024
 
 
-def _random_vector(field, n, rng, bound):
-    return [field.random(rng, bound) for _ in range(n)]
+def _random_vector(n, rng):
+    return [rng.int_symmetric(BOUND) for _ in range(n)]
 
 
 def _format_vec(field, v):
@@ -93,12 +96,11 @@ def _format_vec(field, v):
 
 class CConditionResult:
     def __init__(self, outcome: str, witness: tuple | None, trials_run: int,
-                 failure_bound: str | None, certificate: str | None):
+                 failure_bound: str | None):
         self.outcome = outcome
         self.witness = witness  # (a, b) coordinate lists
         self.trials_run = trials_run
         self.failure_bound = failure_bound  # e.g. "(9/2049)^64"
-        self.certificate = certificate
 
     def witness_json(self, field):
         if self.witness is None:
@@ -118,20 +120,17 @@ def _verify_witness_exactly(g, a, b) -> bool:
     return _kernels.int_rank(rows, len(rows), g.dim) == g.dim
 
 
-def c_condition(
-    g: StructureConstantAlgebra,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    bound: int = DEFAULT_BOUND,
-) -> CConditionResult:
+def c_condition(g: StructureConstantAlgebra, seed: int = DEFAULT_SEED) -> CConditionResult:
     """Search for a pair of elements with trivially intersecting centralizers.
 
     The algebra must be over Q.  A nonzero center certifies failure
     outright; the deterministic schedule tries the unordered basis pairs
     i < j (the mutual centralizer is symmetric and (i, i) always fails),
     then each basis vector against the sum of all basis vectors, then the
-    even-indexed sum against the odd-indexed sum; finally ``trials`` random
-    pairs with coordinates uniform in [-bound, bound].  Every candidate is
+    even-indexed sum against the odd-indexed sum; finally `TRIALS` random
+    pairs, drawn from ``seed``, with coordinates uniform in [-`BOUND`,
+    `BOUND`].  A miss reports the bound (n/(2 BOUND + 1))^TRIALS on the
+    chance that a disjoint pair exists but was not drawn.  Every candidate is
     decided by the nullity `kernel_dim_fast` reads off the modular
     certificate (an exact integer rank, when it fails).  The second stage
     keeps every kernel vector the certificate proves: each lies in C(sum)
@@ -146,7 +145,7 @@ def c_condition(
     if F.kind != "Q":
         raise UnsupportedField("the C-condition search runs over Q only")
     if g.center().dim > 0:
-        return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None, "nontrivial center")
+        return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None)
 
     full = (1 << n) - 1
 
@@ -182,27 +181,27 @@ def c_condition(
     for i in range(n):
         for j in range(i + 1, n):
             if try_pair(basis[i], basis[j], ads[i], ads[j]):
-                return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None, None)
+                return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None)
     sum_all = [F.one] * n
     ad_sum = adjoint(g.ad_rows(sum_all))
     proved = []
     for i in range(n):
         if try_pair(basis[i], sum_all, ads[i], ad_sum, proved):
-            return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None, None)
+            return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None)
     sum_even = [F.one if i % 2 == 0 else F.zero for i in range(n)]
     sum_odd = [F.one if i % 2 == 1 else F.zero for i in range(n)]
     if try_pair(sum_even, sum_odd,
                 adjoint(g.ad_rows(sum_even)), adjoint(g.ad_rows(sum_odd))):
-        return CConditionResult(OUTCOME_HOLDS, (sum_even, sum_odd), 0, None, None)
+        return CConditionResult(OUTCOME_HOLDS, (sum_even, sum_odd), 0, None)
 
     rng = XorShift64Star(seed)
-    for t in range(1, trials + 1):
-        a = _random_vector(F, n, rng, bound)
-        b = _random_vector(F, n, rng, bound)
+    for t in range(1, TRIALS + 1):
+        a = _random_vector(n, rng)
+        b = _random_vector(n, rng)
         if try_pair(a, b, adjoint(g.ad_rows(a)), adjoint(g.ad_rows(b))):
-            return CConditionResult(OUTCOME_HOLDS, (a, b), t, None, None)
-    bound_str = f"({n}/{2 * bound + 1})^{trials}"
-    return CConditionResult(OUTCOME_PROBABLY_FAILS, None, trials, bound_str, None)
+            return CConditionResult(OUTCOME_HOLDS, (a, b), t, None)
+    return CConditionResult(OUTCOME_PROBABLY_FAILS, None, TRIALS,
+                            f"({n}/{2 * BOUND + 1})^{TRIALS}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +505,7 @@ class VerdictReport:
         return out
 
 
-def verdict(
-    g: StructureConstantAlgebra,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    bound: int = DEFAULT_BOUND,
-) -> VerdictReport:
+def verdict(g: StructureConstantAlgebra, seed: int = DEFAULT_SEED) -> VerdictReport:
     """Decide UA / NOT_UA / UNKNOWN for a validated algebra.
 
     Over Q: dimension zero is trivially UA; with zero center the C-condition
@@ -537,8 +531,7 @@ def verdict(
             )
         return report
     if F.kind == "Q" and report.center_dim == 0:
-        res = c_condition(g, trials=trials, seed=child_seed(seed, OFFSET_C_CONDITION),
-                          bound=bound)
+        res = c_condition(g, seed=child_seed(seed, OFFSET_C_CONDITION))
         if res.outcome == OUTCOME_HOLDS:
             report.verdict = VERDICT_UA
             report.rule = RULE_C_CONDITION
@@ -546,7 +539,7 @@ def verdict(
         else:
             report.confidence = {
                 "trials": res.trials_run,
-                "B": bound,
+                "B": BOUND,
                 "miss_probability_bound": res.failure_bound,
             }
             report.open_problem_note = NOTE_OPEN_TRIVIAL_CENTER
@@ -591,13 +584,7 @@ def verdict(
     return report
 
 
-def seaweed_verdict(
-    spec: SeaweedSpec,
-    field,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    bound: int = DEFAULT_BOUND,
-) -> VerdictReport:
+def seaweed_verdict(spec: SeaweedSpec, field, seed: int = DEFAULT_SEED) -> VerdictReport:
     """Verdict for a seaweed algebra, with the ampleness shortcut.
 
     Ample root set: the recipe pair (regular diagonal element, sum of all
@@ -633,6 +620,6 @@ def seaweed_verdict(
             report.rule = RULE_AMPLE_SEAWEED
             report.witness = {"a": _format_vec(F, a), "b": _format_vec(F, b)}
     if report is None:
-        report = verdict(g, trials=trials, seed=seed, bound=bound)
+        report = verdict(g, seed=seed)
     report.seaweed = info
     return report

@@ -2,10 +2,12 @@
 
 Exit codes: 0 = a verdict or report was produced (UNKNOWN counts — the open
 cases are open, not errors); 1 = the input failed validation or an analysis
-precondition; 2 = usage error.  The one randomized step, the C-condition's
-trials under ``analyze`` and ``seaweed``, draws from a child of the single
---seed at a fixed offset, so reports are byte-deterministic given the same
-inputs and flags; ``counterexample`` draws nothing.  ``analyze`` and
+precondition; 2 = usage error.  The global flags are --seed, --field and
+--text (JSON is the default output).  The one randomized step, the
+C-condition's fixed 64 random pairs under ``analyze`` and ``seaweed``, draws
+from a child of the single --seed at a fixed offset, so reports are
+byte-deterministic given the same inputs and flags; ``counterexample``
+draws nothing.  ``analyze`` and
 ``counterexample`` read their algebra, a file or a ``--builtin``, through
 one path that refuses a Jacobi failure naming the basis triple; a builtin
 past its size cap is a usage error.  ``--field`` is a usage error where it
@@ -172,7 +174,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _resolve_algebra(args)
-    report = analysis.verdict(g, trials=args.trials, seed=args.seed, bound=args.B)
+    report = analysis.verdict(g, seed=args.seed)
     _emit(report.to_json_dict(), args)
     return 0
 
@@ -190,8 +192,7 @@ def _cmd_seaweed(args) -> int:
     top = _parse_composition(args.top)
     bottom = _parse_composition(args.bottom)
     spec = constructions.SeaweedSpec(args.n, top, bottom)
-    report = analysis.seaweed_verdict(spec, field, trials=args.trials,
-                                      seed=args.seed, bound=args.B)
+    report = analysis.seaweed_verdict(spec, field, seed=args.seed)
     _emit(report.to_json_dict(), args)
     return 0
 
@@ -296,15 +297,8 @@ def _add_run_flags(parser, suppress: bool):
 
     parser.add_argument("--seed", type=_seed, default=dflt(DEFAULT_SEED),
                         help="64-bit master seed (default 0x5EED5EED5EED5EED)")
-    parser.add_argument("--trials", type=int, default=dflt(analysis.DEFAULT_TRIALS),
-                        help="random trials for probabilistic searches")
-    parser.add_argument("--B", type=int, default=dflt(analysis.DEFAULT_BOUND),
-                        help="coordinate sampling bound")
-    out = parser.add_mutually_exclusive_group()
-    out.add_argument("--json", dest="text", action="store_false", default=dflt(False),
-                     help="JSON output (default)")
-    out.add_argument("--text", dest="text", action="store_true", default=sup,
-                     help="flat key: value lines instead of JSON")
+    parser.add_argument("--text", action="store_true", default=dflt(False),
+                        help="flat key: value lines instead of JSON")
     parser.add_argument("--field", default=dflt(None),
                         help="Q | Fp:<p>, for builtins and seaweeds (default Q)")
 
@@ -388,8 +382,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.trials < 1 or args.B < 1:
-            raise _Usage("--trials and --B must be at least 1")
         if args.field is not None and args.command in ("finite", "catalog"):
             raise _Usage(f"--field applies to builtins and seaweeds, not to {args.command}")
         return _COMMANDS[args.command](args)

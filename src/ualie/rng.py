@@ -1,11 +1,12 @@
 """Deterministic pseudo-random sampling.
 
-All randomized searches in this package draw from a single xorshift64*
-stream so that every report is reproducible byte for byte from one seed.
-The generator is the classic xorshift64* (shift triple 12/25/27, odd
-multiplier 2685821657736338717), returning the high 32 bits of the
-multiplied state.  Integers are drawn by rejection sampling, so the
-distribution on a range is exactly uniform.
+The one randomized search in this package, the C-condition's random pairs
+with coordinates in [-1024, 1024], draws from a xorshift64* stream so that
+every report is reproducible byte for byte from one seed.  The generator is
+the classic xorshift64* (shift triple 12/25/27, odd multiplier
+2685821657736338717), returning the high 32 bits of the multiplied state.
+Integers are drawn by rejection sampling on one 32-bit word, so the
+distribution on a range of at most 2^32 values is exactly uniform.
 
 Sub-operations never share a stream: they derive child seeds from the
 master seed by fixed offsets (see ``child_seed``), so adding a new
@@ -46,17 +47,13 @@ class XorShift64Star:
         return ((x * _MULT) & MASK64) >> 32
 
     def below(self, m: int) -> int:
-        """Uniform integer in [0, m) by rejection sampling on draws of
-        max(1, ceil(bitlen(m - 1) / 32)) words, high word first."""
-        if m <= 0:
-            raise ValueError("below() needs a positive bound")
-        words = max(1, -(-(m - 1).bit_length() // 32))
-        span = 1 << (32 * words)
-        limit = span - span % m
+        """Uniform integer in [0, m), 0 < m <= 2^32, by rejection sampling
+        on one 32-bit word per draw."""
+        if not 0 < m <= 1 << 32:
+            raise ValueError("below() needs a bound in (0, 2^32]")
+        limit = (1 << 32) - (1 << 32) % m
         while True:
-            r = 0
-            for _ in range(words):
-                r = (r << 32) | self.next_u32()
+            r = self.next_u32()
             if r < limit:
                 return r % m
 

@@ -123,9 +123,6 @@ class Rationals:
         except (ValueError, ZeroDivisionError) as e:
             raise BadParams(f"bad rational scalar {s!r}") from e
 
-    def random(self, rng, bound: int):
-        return rng.int_symmetric(bound)
-
     def to_json(self) -> dict:
         return {"kind": "Q"}
 

@@ -10,9 +10,11 @@ witness, trial count and failure bound.
 """
 
 from ualie.analysis import (
+    BOUND,
     OUTCOME_CERTIFIED_FAILS,
     OUTCOME_HOLDS,
     OUTCOME_PROBABLY_FAILS,
+    TRIALS,
     CConditionResult,
     _random_vector,
     _verify_witness_exactly,
@@ -22,13 +24,13 @@ from ualie.linalg import kernel_dim_fast
 from ualie.rng import DEFAULT_SEED, XorShift64Star
 
 
-def c_condition(g, trials=64, seed=DEFAULT_SEED, bound=1024):
+def c_condition(g, seed=DEFAULT_SEED):
     F = g.field
     n = g.dim
     if F.kind != "Q":
         raise UnsupportedField("the C-condition search runs over Q only")
     if g.center().dim > 0:
-        return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None, "nontrivial center")
+        return CConditionResult(OUTCOME_CERTIFIED_FAILS, None, 0, None)
 
     full = (1 << n) - 1
 
@@ -54,22 +56,22 @@ def c_condition(g, trials=64, seed=DEFAULT_SEED, bound=1024):
     for i in range(n):
         for j in range(i + 1, n):
             if try_pair(basis[i], basis[j], ads[i], ads[j]):
-                return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None, None)
+                return CConditionResult(OUTCOME_HOLDS, (basis[i], basis[j]), 0, None)
     sum_all = [F.one] * n
     ad_sum = adjoint(sum_all)
     for i in range(n):
         if try_pair(basis[i], sum_all, ads[i], ad_sum):
-            return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None, None)
+            return CConditionResult(OUTCOME_HOLDS, (basis[i], sum_all), 0, None)
     sum_even = [F.one if i % 2 == 0 else F.zero for i in range(n)]
     sum_odd = [F.one if i % 2 == 1 else F.zero for i in range(n)]
     if try_pair(sum_even, sum_odd, adjoint(sum_even), adjoint(sum_odd)):
-        return CConditionResult(OUTCOME_HOLDS, (sum_even, sum_odd), 0, None, None)
+        return CConditionResult(OUTCOME_HOLDS, (sum_even, sum_odd), 0, None)
 
     rng = XorShift64Star(seed)
-    for t in range(1, trials + 1):
-        a = _random_vector(F, n, rng, bound)
-        b = _random_vector(F, n, rng, bound)
+    for t in range(1, TRIALS + 1):
+        a = _random_vector(n, rng)
+        b = _random_vector(n, rng)
         if try_pair(a, b, adjoint(a), adjoint(b)):
-            return CConditionResult(OUTCOME_HOLDS, (a, b), t, None, None)
-    bound_str = f"({n}/{2 * bound + 1})^{trials}"
-    return CConditionResult(OUTCOME_PROBABLY_FAILS, None, trials, bound_str, None)
+            return CConditionResult(OUTCOME_HOLDS, (a, b), t, None)
+    bound_str = f"({n}/{2 * BOUND + 1})^{TRIALS}"
+    return CConditionResult(OUTCOME_PROBABLY_FAILS, None, TRIALS, bound_str)

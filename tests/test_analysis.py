@@ -80,7 +80,6 @@ def test_c_condition_nontrivial_center_is_certified_failure():
     g = build_catalog("heisenberg", QQ, k=1)
     res = an.c_condition(g)
     assert res.outcome == an.OUTCOME_CERTIFIED_FAILS
-    assert res.certificate == "nontrivial center"
 
 
 def test_c_condition_refuses_a_witness_the_exact_check_rejects(monkeypatch):
@@ -102,8 +101,8 @@ def test_c_condition_probable_failure_with_quoted_bound():
 
 def test_c_condition_deterministic_across_runs():
     g = build_catalog("example_5_7", QQ)
-    r1 = an.c_condition(g, trials=16, seed=12345)
-    r2 = an.c_condition(g, trials=16, seed=12345)
+    r1 = an.c_condition(g, seed=12345)
+    r2 = an.c_condition(g, seed=12345)
     assert (r1.outcome, r1.witness, r1.failure_bound) == (
         r2.outcome,
         r2.witness,
@@ -140,7 +139,7 @@ def test_c_condition_matches_the_full_stack_oracle():
     import c_condition_oracle as oracle
 
     def key(res):
-        return res.outcome, res.witness, res.trials_run, res.failure_bound, res.certificate
+        return res.outcome, res.witness, res.trials_run, res.failure_bound
 
     algebras = [build_catalog("sl", QQ, n=k) for k in range(2, 9)]
     algebras += [build_catalog("s2", QQ), build_catalog("example_5_7", QQ)]

@@ -3,6 +3,8 @@
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -242,15 +244,11 @@ def test_malformed_input_files_are_input_errors(capsys, tmp_path, case):
 
 
 @pytest.mark.parametrize("argv", [
-    ("counterexample", "injection", "--builtin", "s2", "--B", "2147483648"),
-    ("analyze", "--builtin", "example_5_7", "--B", "2147483648"),
     ("counterexample", "injection", "--builtin", "s2", "--field", "Fp:4294967311"),
-], ids=["injection-B-2^31", "analyze-B-2^31", "injection-p-past-2^32"])
+], ids=["injection-p-past-2^32"])
 def test_draws_past_32_bits_finish(capsys, argv):
-    """Sampling ranges wider than 2^32 (|x| <= B with B >= 2^31, or a
-    prime past 2^32) once never returned.  The injection cases no longer
-    draw; analyze-B-2^31 is the one whose C-condition trials reach
-    `below()` past 2^32."""
+    """A prime past 2^32 once made the injection sample a range wider than
+    2^32, which never returned; the injection no longer draws at all."""
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5.0
@@ -574,6 +572,56 @@ def test_seed_range_ends_are_accepted(capsys):
         code, out, _ = run_cli(capsys, "analyze", "--builtin", "s2", "--seed", seed)
         assert code == 0
         assert json.loads(out)["seed"] == int(seed, 0)
+
+
+_REMOVED_FLAGS = (("--trials", "3"), ("--B", "5"), ("--json",))
+
+
+@pytest.mark.parametrize("argv", [
+    *((*flag, "analyze", "--builtin", "s2") for flag in _REMOVED_FLAGS),
+    *(("analyze", "--builtin", "s2", *flag) for flag in _REMOVED_FLAGS),
+    ("finite", "--json", "wua", "klein"),
+], ids=lambda argv: " ".join(argv))
+def test_removed_global_flags_are_usage_errors(capsys, argv):
+    """The C-condition's random stage is fixed, so ``--trials`` and ``--B``
+    are gone, and so is ``--json``, which only re-selected the default."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ualie") and "error:" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_help_names_only_the_remaining_global_flags(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--help")
+    assert code == 0
+    assert all(flag in out for flag in ("--seed", "--field", "--text"))
+    assert not any(flag in out for flag in ("--trials", "--B", "--json"))
+
+
+def _readme_section(title):
+    text = (ROOT / "README.md").read_text()
+    return text[text.index(f"\n## {title}\n"):].split("\n## ", 2)[1]
+
+
+def test_readme_global_flags_are_the_root_parsers():
+    """The README's "Global flags" paragraph names exactly the options the
+    root parser accepts, so a flag added or removed shows as drift here."""
+    paragraph = next(p for p in _readme_section("Command line").split("\n\n")
+                     if p.startswith("Global flags"))
+    named = set(re.findall(r"--[A-Za-z]+", paragraph))
+    accepted = {o for a in cli._build_parser()._actions for o in a.option_strings}
+    assert named == accepted - {"-h", "--help"}
+
+
+def test_readme_commands_exit_0(capsys):
+    """Every ``ualie`` line of the README's command block runs and exits 0,
+    except those naming a placeholder ``path/to/`` file."""
+    block = _readme_section("Command line").split("```")[1]
+    commands = [shlex.split(line.split("#")[0]) for line in block.splitlines()
+                if line.startswith("ualie ") and "path/to/" not in line]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert run_cli(capsys, *argv[1:])[0] == 0, argv
 
 
 def test_unknown_command_exits_2(capsys):

@@ -108,6 +108,20 @@ def test_validation_catches_broken_tables():
     assert any("alternating" in f or "[x,x]" in f for f in rep2.failures)
 
 
+def test_validation_refuses_malformed_tables_before_the_axioms():
+    """Tables built in code skip the loader's shape checks; `validate` still
+    refuses a short row, an out-of-range entry or a short negation table."""
+    r = fin.cyclic_ring(4)
+    short_row = [row[:] for row in r.bracket]
+    short_row[2] = short_row[2][:3]
+    out_of_range = [row[:] for row in r.add]
+    out_of_range[3][0] = 4
+    for add, neg, bracket in ((r.add, r.neg, short_row), (out_of_range, r.neg, r.bracket),
+                              (r.add, r.neg[:3], r.bracket)):
+        rep = fin.FiniteLieRing("malformed", 4, add, neg, bracket).validate()
+        assert (rep.ok, rep.failures) == (False, ["tables malformed (shape or out-of-range entry)"])
+
+
 def test_json_round_trip():
     r = heis_ring(2)
     r2 = fin.FiniteLieRing.from_json_dict(r.to_json_dict(), name=r.name)

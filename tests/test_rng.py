@@ -1,5 +1,7 @@
 """The seeded xorshift64* stream and its uniform draws."""
 
+import pytest
+
 from ualie.rng import XorShift64Star
 
 
@@ -20,10 +22,10 @@ def test_below_keeps_the_one_word_stream_up_to_2_to_32():
         assert a.next_u32() == b.next_u32()
 
 
-def test_below_draws_in_range_past_2_to_32():
-    """One 32-bit word cannot cover these ranges: its rejection limit is 0."""
-    for m in (2**32 + 15, 2**64 + 13):
-        rng = XorShift64Star(7)
-        draws = [rng.below(m) for _ in range(1000)]
-        assert all(0 <= x < m for x in draws)
-        assert max(draws) >= m // 2  # the high words take part
+def test_below_refuses_bounds_outside_one_word():
+    """One 32-bit word covers at most 2^32 values; the C-condition draws
+    from 2049."""
+    rng = XorShift64Star(7)
+    for m in (0, -1, 2**32 + 1):
+        with pytest.raises(ValueError, match=r"^below\(\) needs a bound in \(0, 2\^32\]$"):
+            rng.below(m)

@@ -137,16 +137,6 @@ def test_parse_field_flag():
         parse_field_flag("Fp:abc")
 
 
-def test_field_random_is_deterministic():
-    from ualie.rng import XorShift64Star
-
-    r1 = XorShift64Star(42)
-    r2 = XorShift64Star(42)
-    seq1 = [QQ.random(r1, 10) for _ in range(20)]
-    seq2 = [QQ.random(r2, 10) for _ in range(20)]
-    assert seq1 == seq2
-
-
 def test_rationals_are_int_when_integral():
     assert type(QQ.zero) is int and type(QQ.one) is int
     assert type(QQ.from_int(-7)) is int
